@@ -66,10 +66,8 @@ from .errors import (
     TrivialSpaceError,
 )
 from .exactnum import (
-    ExactScalar,
     FactoredRational,
     LinearFactor,
-    expand_factors,
     format_rational,
     parse_rational,
     rising,
@@ -94,13 +92,11 @@ __all__ = [
     "parse_domain",
     "enumerate_catalog",
     # exact arithmetic
-    "ExactScalar",
     "parse_rational",
     "format_rational",
     "rising",
     "LinearFactor",
     "FactoredRational",
-    "expand_factors",
     # wallach
     "WallachSet",
     "wallach_set",

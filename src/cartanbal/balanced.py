@@ -105,11 +105,16 @@ class BalancedVerdict:
     witness_m: int | None = None
     value_at_0: Fraction | None = None
     value_at_witness: Fraction | None = None
+    # constancy of the norm-chain ratio; None when a precondition fails
+    ratio_constant: bool | None = None
 
     def __post_init__(self):
         has_witness = self.witness_m is not None
         if has_witness != (self.reason == REASON_M_DEPENDENCE):
             raise ValueError("witness fields present iff reason is m_dependence")
+        has_ratio = self.ratio_constant is not None
+        if has_ratio != (self.reason in (REASON_OK, REASON_M_DEPENDENCE)):
+            raise ValueError("ratio_constant present iff the preconditions hold")
 
 
 def cartan_balanced(dom: CartanDomain, beta) -> bool:
@@ -215,7 +220,7 @@ def hartogs_balanced(spec: HartogsSpec) -> BalancedVerdict:
                     f"constant norm-chain ratio with value {value} != 1 for "
                     f"{spec.label}"
                 )
-            verdict = BalancedVerdict(True, REASON_OK)
+            verdict = BalancedVerdict(True, REASON_OK, ratio_constant=True)
         else:
             verdict = _m_dependence_verdict(spec)
     expected = _closed_form_balanced(spec)
@@ -241,7 +246,9 @@ def _m_dependence_verdict(spec: HartogsSpec) -> BalancedVerdict:
         for m in range(1, spec.base.dim + 2):
             value_m = quantity.eval_at(m)
             if value_m != value_0:
-                return BalancedVerdict(False, REASON_M_DEPENDENCE, m, value_0, value_m)
+                return BalancedVerdict(
+                    False, REASON_M_DEPENDENCE, m, value_0, value_m, ratio_constant=False
+                )
     except PoleError as exc:  # pragma: no cover - guarded by preconditions
         raise InternalConsistencyError(
             f"unexpected pole while searching m-dependence witness for "
@@ -329,10 +336,6 @@ def balanced_scan(
             for alpha in dom_alphas:
                 spec = HartogsSpec(dom, mu, alpha)
                 verdict = hartogs_balanced(spec)
-                necessary_ok = all(hartogs_necessary(spec))
-                ratio_constant = None
-                if necessary_ok:
-                    ratio_constant = norm_chain_ratio(spec).is_constant()[0]
                 rows.append(
                     ScanRow(
                         dom,
@@ -342,8 +345,8 @@ def balanced_scan(
                         verdict.reason,
                         verdict.witness_m,
                         _closed_form_balanced(spec),
-                        necessary_ok,
-                        ratio_constant,
+                        verdict.ratio_constant is not None,
+                        verdict.ratio_constant,
                     )
                 )
     rows.sort(key=lambda row: (row.domain.label, row.mu, row.alpha))

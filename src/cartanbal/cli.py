@@ -19,6 +19,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -57,7 +58,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit 1, not argparse's default 2.
 
     Exit 2 is reserved for predicate-false results of check subcommands.
+    Negative exact rationals such as -1/2 are read as values, as argparse
+    already does for -2 and -0.5, not as option strings.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(?:/-?\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")

@@ -4,15 +4,16 @@ The central object is FactoredRational: a quantity
 
     scale * prod(numer factors) / prod(denom factors)
 
-where each factor is slope*x + intercept with rational coefficients.  All
-expressions kept in this form stay exact, and constancy of the rational
-function can be decided by multiset comparison of canonical factors:
+where each factor is a LinearFactor P*x + Q.  Inside a FactoredRational every
+factor is a primitive integer pair: P and Q are coprime ints and P > 0.
+Constancy of the rational function is then decided by multiset comparison:
 
-  * every factor is normalized to its primitive integer representative
-    (coprime integer slope and intercept, slope positive), the extracted
-    rational constant being folded into the scale;
-  * common factors of numerator and denominator are cancelled multiset-wise
-    at construction time.
+  * the constructor accepts rational (slope, intercept) pairs and splits each
+    one, once, into its primitive integer pair and a rational constant; the
+    constants are accumulated as an integer numerator and denominator and
+    become the single Fraction `scale` at the end;
+  * common factors of numerator and denominator are cancelled with Counters
+    keyed by the integer pairs.
 
 After this normalization two proportional factors are literally equal, so a
 FactoredRational is a constant function exactly when no factors remain, and
@@ -21,32 +22,32 @@ variable: a rational function that agrees with a constant on infinitely many
 points (all of them, here) is identically that constant, and conversely a
 nonempty reduced factorization has a zero or pole and cannot be constant.
 
-Rationals are stdlib fractions.Fraction throughout: that type already
-guarantees reduced lowest terms and a positive denominator.
+Operations on values that are already canonical never re-normalize a
+factor: products, quotients and reciprocals merge the two factor multisets
+and cancel across them, and compose_affine maps each pair (P, Q) to a new
+primitive pair with integer arithmetic.  An affine substitution with nonzero
+slope sends distinct primitive factors to distinct primitive factors, so a
+composed value stays fully cancelled.  Evaluation at a rational p/q works on
+the integers P*p + Q*q and builds one Fraction.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable
 
 from .errors import PoleError
 
 __all__ = [
-    "ExactScalar",
     "parse_rational",
     "format_rational",
     "rising",
     "LinearFactor",
     "FactoredRational",
-    "expand_factors",
 ]
-
-ExactScalar = Fraction
 
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(-?\d+)\s*)?$")
 
@@ -84,21 +85,22 @@ def rising(x: Fraction, n: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True, order=True)
-class LinearFactor:
-    """The affine function slope*x + intercept, slope nonzero."""
+class LinearFactor(namedtuple("LinearFactor", "slope intercept")):
+    """The affine function slope*x + intercept, slope nonzero.
 
-    slope: Fraction
-    intercept: Fraction
+    Inside a FactoredRational the pair is primitive: coprime ints with a
+    positive slope.  Ordering, equality and hashing are those of the tuple.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "intercept", Fraction(self.intercept))
-        if self.slope == 0:
+    __slots__ = ()
+
+    def __new__(cls, slope, intercept):
+        if slope == 0:
             raise ValueError("LinearFactor slope must be nonzero")
+        return tuple.__new__(cls, (slope, intercept))
 
-    def eval_at(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
+    def eval_at(self, x) -> Fraction:
+        return self.slope * Fraction(x) + self.intercept
 
     def render(self, var: str = "x") -> str:
         s, i = self.slope, self.intercept
@@ -109,26 +111,35 @@ class LinearFactor:
         return f"{head}{sign}{format_rational(abs(i))}"
 
 
-def _primitive(slope: Fraction, intercept: Fraction) -> tuple[LinearFactor, Fraction]:
-    """Normalize slope*x+intercept to coprime integer coefficients.
+def _primitive_pair(slope: int, intercept: int) -> tuple[LinearFactor, int]:
+    """(LinearFactor(P, Q), g) with slope*x + intercept == g * (P x + Q).
 
-    Returns (factor, c) with factor = (P, Q), P > 0 integers, gcd(P, Q) = 1,
-    and slope*x + intercept == c * (P x + Q) identically.
+    P > 0 and gcd(P, Q) = 1; g is a nonzero integer.
     """
-    den = math.lcm(slope.denominator, intercept.denominator)
-    p = slope.numerator * (den // slope.denominator)
-    q = intercept.numerator * (den // intercept.denominator)
-    g = math.gcd(p, q)
-    if p < 0:
+    if slope == 0:
+        raise ValueError("LinearFactor slope must be nonzero")
+    g = gcd(slope, intercept)
+    if slope < 0:
         g = -g
-    return LinearFactor(Fraction(p // g), Fraction(q // g)), Fraction(g, den)
+    return LinearFactor(slope // g, intercept // g), g
 
 
-def _coerce(factor) -> LinearFactor:
-    if isinstance(factor, LinearFactor):
-        return factor
+def _split(factor) -> tuple[LinearFactor, int, int]:
+    """Split a rational (slope, intercept) pair as (g/d) * (P x + Q), d > 0."""
     slope, intercept = factor
-    return LinearFactor(Fraction(slope), Fraction(intercept))
+    if type(slope) is int and type(intercept) is int:
+        return (*_primitive_pair(slope, intercept), 1)
+    slope, intercept = Fraction(slope), Fraction(intercept)
+    d = lcm(slope.denominator, intercept.denominator)
+    prim, g = _primitive_pair(
+        slope.numerator * (d // slope.denominator),
+        intercept.numerator * (d // intercept.denominator),
+    )
+    return prim, g, d
+
+
+def _sorted_elements(counts: Counter) -> tuple[LinearFactor, ...]:
+    return tuple(sorted(counts.elements()))
 
 
 class FactoredRational:
@@ -144,23 +155,51 @@ class FactoredRational:
         scale = Fraction(scale)
         if scale == 0:
             raise ValueError("FactoredRational scale must be nonzero")
-        num = Counter()
-        for f in map(_coerce, numer):
-            prim, c = _primitive(f.slope, f.intercept)
-            scale *= c
-            num[prim] += 1
-        den = Counter()
-        for f in map(_coerce, denom):
-            prim, c = _primitive(f.slope, f.intercept)
-            scale /= c
-            den[prim] += 1
-        common = num & den
-        num -= common
-        den -= common
+        num, den = scale.numerator, scale.denominator
+        top = Counter()
+        for factor in numer:
+            prim, g, d = _split(factor)
+            top[prim] += 1
+            num *= g
+            den *= d
+        bottom = Counter()
+        for factor in denom:
+            prim, g, d = _split(factor)
+            bottom[prim] += 1
+            num *= d
+            den *= g
+        common = top & bottom
+        top -= common
+        bottom -= common
+        self._set(Fraction(num, den), _sorted_elements(top), _sorted_elements(bottom), var)
+
+    def _set(self, scale: Fraction, numer: tuple, denom: tuple, var: str) -> None:
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "numer", tuple(sorted(num.elements())))
-        object.__setattr__(self, "denom", tuple(sorted(den.elements())))
+        object.__setattr__(self, "numer", numer)
+        object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "var", var)
+
+    @classmethod
+    def _canonical(cls, scale: Fraction, numer: tuple, denom: tuple, var: str):
+        """Wrap factor tuples that are already primitive, sorted and cancelled."""
+        out = object.__new__(cls)
+        out._set(scale, numer, denom, var)
+        return out
+
+    @classmethod
+    def _merge(cls, scale: Fraction, numers: tuple, denoms: tuple, var: str):
+        """Product of canonical operands: cancel across them, re-normalize nothing."""
+        top = Counter()
+        for factors in numers:
+            top.update(factors)
+        bottom = Counter()
+        for factors in denoms:
+            bottom.update(factors)
+        common = top & bottom
+        if common:
+            top -= common
+            bottom -= common
+        return cls._canonical(scale, _sorted_elements(top), _sorted_elements(bottom), var)
 
     def __setattr__(self, name, value):  # immutable after __init__
         raise AttributeError("FactoredRational is immutable")
@@ -168,31 +207,58 @@ class FactoredRational:
     # -- algebra ---------------------------------------------------------
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        return FactoredRational(
+        return self._merge(
             self.scale * other.scale,
-            self.numer + other.numer,
-            self.denom + other.denom,
-            var=self.var,
+            (self.numer, other.numer),
+            (self.denom, other.denom),
+            self.var,
         )
 
     def reciprocal(self) -> "FactoredRational":
-        return FactoredRational(1 / self.scale, self.denom, self.numer, var=self.var)
+        return self._canonical(1 / self.scale, self.denom, self.numer, self.var)
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        return self * other.reciprocal()
+        return self._merge(
+            self.scale / other.scale,
+            (self.numer, other.denom),
+            (self.denom, other.numer),
+            self.var,
+        )
 
     def compose_affine(self, coeff, shift, var: str | None = None) -> "FactoredRational":
-        """Substitute x -> coeff*x + shift (coeff nonzero)."""
+        """Substitute x -> coeff*x + shift (coeff nonzero).
+
+        With coeff = a/b and shift = c/d, the factor P x + Q becomes
+        (P a d x + P c b + Q b d) / (b d), split once into its primitive
+        pair and the integer constant g / (b d).
+        """
         coeff = Fraction(coeff)
         shift = Fraction(shift)
         if coeff == 0:
             raise ValueError("affine substitution needs a nonzero slope")
-        sub = lambda f: (f.slope * coeff, f.slope * shift + f.intercept)
-        return FactoredRational(
-            self.scale,
-            [sub(f) for f in self.numer],
-            [sub(f) for f in self.denom],
-            var=self.var if var is None else var,
+        a, b = coeff.numerator, coeff.denominator
+        c, d = shift.numerator, shift.denominator
+        bd = b * d
+
+        def mapped(factors):
+            out, prod_g = [], 1
+            for p, q in factors:
+                prim, g = _primitive_pair(p * a * d, p * c * b + q * bd)
+                out.append(prim)
+                prod_g *= g
+            return tuple(sorted(out)), prod_g
+
+        numer, g_num = mapped(self.numer)
+        denom, g_den = mapped(self.denom)
+        excess = len(self.denom) - len(self.numer)
+        num = self.scale.numerator * g_num
+        den = self.scale.denominator * g_den
+        if excess > 0:
+            num *= bd**excess
+        else:
+            den *= bd**-excess
+        return self._canonical(
+            Fraction(num, den), numer, denom, self.var if var is None else var
         )
 
     # -- evaluation and constancy ----------------------------------------
@@ -200,18 +266,25 @@ class FactoredRational:
     def eval_at(self, x) -> Fraction:
         """Exact value at a rational point; PoleError at denominator roots."""
         x = Fraction(x)
-        out = self.scale
+        p, q = x.numerator, x.denominator
+        den = self.scale.denominator
         for f in self.denom:
-            v = f.eval_at(x)
+            v = f.slope * p + f.intercept * q
             if v == 0:
                 raise PoleError(
                     f"denominator factor ({f.render(self.var)}) vanishes at "
                     f"{self.var}={format_rational(x)}"
                 )
-            out /= v
+            den *= v
+        num = self.scale.numerator
         for f in self.numer:
-            out *= f.eval_at(x)
-        return out
+            num *= f.slope * p + f.intercept * q
+        excess = len(self.denom) - len(self.numer)
+        if excess > 0:
+            num *= q**excess
+        else:
+            den *= q**-excess
+        return Fraction(num, den)
 
     def is_constant(self) -> tuple[bool, Fraction | None]:
         """(True, value) if the function is constant, else (False, None).
@@ -276,7 +349,7 @@ class FactoredRational:
 
         var = "x"
 
-        def parse_factors(blob: str) -> list[tuple[Fraction, Fraction]]:
+        def parse_factors(blob: str) -> list[tuple[int, int]]:
             nonlocal var
             out = []
             for part in filter(None, (p.strip() for p in blob.split(","))):
@@ -288,25 +361,9 @@ class FactoredRational:
                 inter = int(fm.group(4) or 0)
                 if fm.group(3) == "-":
                     inter = -inter
-                out.append((Fraction(slope), Fraction(inter)))
+                out.append((slope, inter))
             return out
 
         numer = parse_factors(m.group(1))
         denom = parse_factors(m.group(2))
         return cls(parse_rational(m.group(3)), numer, denom, var=var)
-
-
-def expand_factors(factors: Sequence[LinearFactor]) -> list[Fraction]:
-    """Coefficients (low degree first) of the product of linear factors.
-
-    Independent expansion route used to cross-check the multiset constancy
-    decision by polynomial cross-multiplication.
-    """
-    coeffs = [Fraction(1)]
-    for f in factors:
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * f.intercept
-            nxt[i + 1] += c * f.slope
-        coeffs = nxt
-    return coeffs

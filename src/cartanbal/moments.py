@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .catalog import CartanDomain
 from .exactnum import FactoredRational
@@ -42,7 +43,9 @@ class MomentRatio:
         return self.as_rational.eval_at(s)
 
 
+@lru_cache(maxsize=256)
 def moment_ratio(dom: CartanDomain) -> MomentRatio:
+    """The exact M(s) of the domain; cached per (frozen) domain."""
     lengths = block_lengths(dom)
     scale = Fraction(1)
     denom = []

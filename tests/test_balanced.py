@@ -118,6 +118,21 @@ def test_hartogs_balanced_reasons():
     assert v.value_at_0 != v.value_at_witness
 
 
+def test_verdict_carries_chain_ratio_constancy():
+    # the verdict's ratio_constant is the chain ratio's constancy, and None
+    # exactly when a necessary inequality fails and the ratio is undefined
+    for dom in enumerate_catalog(6):
+        for mu in (F(1, 2), F(1), F(2)):
+            for alpha in (F(dom.dim, 2), dom.dim + F(3, 2), F(2 * dom.dim + 3)):
+                spec = HartogsSpec(dom, mu, alpha)
+                verdict = hartogs_balanced(spec)
+                if all(hartogs_necessary(spec)):
+                    assert verdict.ratio_constant == norm_chain_ratio(spec).is_constant()[0]
+                    assert verdict.ratio_constant == verdict.balanced
+                else:
+                    assert verdict.ratio_constant is None
+
+
 def test_lemma_order_of_reasons():
     # when both necessary inequalities fail, the alpha reason is reported
     v = hartogs_balanced(HartogsSpec(parse_domain("I:2,2"), F(4, 5), F(2)))

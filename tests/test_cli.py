@@ -81,6 +81,22 @@ def test_moment_divergent_is_an_error(capsys):
     assert "diverges" in err
 
 
+def test_moment_negative_rational_both_spellings(capsys):
+    # M(s) = 1/(s+1) on the disc, so M(-1/2) = 2
+    for argv in (("--s", "-1/2"), ("--s=-1/2",)):
+        code, payload, _ = run_json(capsys, "moment", "--domain", "I:1,1", *argv)
+        assert code == 0
+        assert payload["s"] == "-1/2"
+        assert payload["value"] == "2"
+
+
+def test_moment_negative_rational_divergent_is_an_error(capsys):
+    for argv in (("--s", "-3/2"), ("--s=-3/2",)):
+        code, _, err = run(capsys, "moment", "--domain", "I:1,1", *argv)
+        assert code == 1
+        assert "diverges" in err
+
+
 def test_moment_rejects_decimals(capsys):
     code, _, err = run(capsys, "moment", "--domain", "I:1,1", "--s", "0.5")
     assert code == 1

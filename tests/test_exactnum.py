@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,11 +9,26 @@ from cartanbal.errors import PoleError
 from cartanbal.exactnum import (
     FactoredRational,
     LinearFactor,
-    expand_factors,
     format_rational,
     parse_rational,
     rising,
 )
+
+
+def expand_factors(factors):
+    """Coefficients (low degree first) of the product of linear factors.
+
+    Independent expansion route used to cross-check the multiset constancy
+    decision by polynomial cross-multiplication.
+    """
+    coeffs = [F(1)]
+    for f in factors:
+        nxt = [F(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] += c * f.intercept
+            nxt[i + 1] += c * f.slope
+        coeffs = nxt
+    return coeffs
 
 
 def test_parse_rational():
@@ -141,7 +157,17 @@ def test_expand_factors():
 # property tests
 
 _small = st.integers(min_value=-4, max_value=4)
-_factor = st.tuples(st.integers(min_value=1, max_value=3), _small)
+# integer pairs take the constructor's int path; rational and negative
+# coefficients with small denominators take the Fraction splitting path
+_denominator = st.integers(min_value=1, max_value=6)
+_nonzero = st.integers(min_value=-12, max_value=12).filter(bool)
+_factor = st.one_of(
+    st.tuples(st.integers(min_value=1, max_value=3), _small),
+    st.tuples(
+        st.builds(F, _nonzero, _denominator),
+        st.builds(F, st.integers(min_value=-12, max_value=12), _denominator),
+    ),
+)
 _factors = st.lists(_factor, max_size=4)
 _scales = st.fractions(
     min_value=F(-8), max_value=F(8), max_denominator=6
@@ -234,3 +260,48 @@ def test_compose_affine_evaluates_pointwise(scale, numer, denom, coeff, shift):
 def test_text_round_trip_property(scale, numer, denom):
     fr = FactoredRational(scale, numer, denom)
     assert FactoredRational.from_text(fr.to_text()) == fr
+
+
+def _assert_canonical(fr):
+    for factors in (fr.numer, fr.denom):
+        assert list(factors) == sorted(factors)
+        for f in factors:
+            assert isinstance(f, LinearFactor)
+            assert type(f.slope) is int and type(f.intercept) is int
+            assert f.slope > 0 and math.gcd(f.slope, f.intercept) == 1
+    assert not set(fr.numer) & set(fr.denom)
+    assert isinstance(fr.scale, F)
+
+
+@given(scale=_scales, numer=_factors, denom=_factors)
+@settings(max_examples=150)
+def test_factors_are_primitive_integer_pairs(scale, numer, denom):
+    _assert_canonical(FactoredRational(scale, numer, denom))
+
+
+@given(
+    s1=_scales, n1=_factors, d1=_factors, s2=_scales, n2=_factors, d2=_factors
+)
+@settings(max_examples=80)
+def test_division_is_product_with_reciprocal(s1, n1, d1, s2, n2, d2):
+    f = FactoredRational(s1, n1, d1)
+    g = FactoredRational(s2, n2, d2)
+    quot, prod = f / g, f * g.reciprocal()
+    assert (quot.scale, quot.numer, quot.denom) == (prod.scale, prod.numer, prod.denom)
+    _assert_canonical(quot)
+    # merging canonical operands agrees with normalising the raw factors again
+    assert quot == FactoredRational(s1 / s2, n1 + d2, d1 + n2)
+    assert f * g == FactoredRational(s1 * s2, n1 + n2, d1 + d2)
+
+
+@given(scale=_scales, numer=_factors, denom=_factors, coeff=_scales, shift=_scales)
+@settings(max_examples=80)
+def test_compose_affine_matches_fresh_construction(scale, numer, denom, coeff, shift):
+    fr = FactoredRational(scale, numer, denom)
+    comp = fr.compose_affine(coeff, shift)
+    _assert_canonical(comp)
+
+    def sub(factors):
+        return [(F(p) * coeff, F(p) * shift + q) for p, q in factors]
+
+    assert comp == FactoredRational(scale, sub(numer), sub(denom))

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -110,3 +111,32 @@ def test_block_structure_matches_factors():
         for t in range(length)
     )
     assert roots == expected
+
+
+def _gamma_omega(x, dom):
+    """Gindikin Gamma function prod_{j=0..r-1} Gamma(x - j a/2) of the cone."""
+    return mpmath.fprod(mpmath.gamma(x - mpmath.mpf(j * dom.a) / 2) for j in range(dom.r))
+
+
+def test_gamma_quotient_oracle_all_ranks():
+    # Faraut-Koranyi: int N^s dV / int dV equals
+    #   G(s+1+a(r-1)/2) G(gamma) / (G(s+gamma) G(1+a(r-1)/2)),  G = Gamma_Omega,
+    # a route that shares nothing with the telescoped block product
+    doms = list(enumerate_catalog(27))
+    assert len(doms) == 89
+    with mpmath.workdps(40):
+        worst = mpmath.mpf(0)
+        for dom in doms:
+            mr = moment_ratio(dom)
+            shift = 1 + mpmath.mpf(dom.a * (dom.r - 1)) / 2
+            for s in (F(-1, 2), F(1, 3), F(5, 2), F(7)):
+                x = mpmath.mpf(s.numerator) / s.denominator
+                oracle = (
+                    _gamma_omega(x + shift, dom)
+                    * _gamma_omega(dom.gamma, dom)
+                    / (_gamma_omega(x + dom.gamma, dom) * _gamma_omega(shift, dom))
+                )
+                exact = mr.eval_at(s)
+                value = mpmath.mpf(exact.numerator) / exact.denominator
+                worst = max(worst, abs(value - oracle) / abs(oracle))
+        assert worst < mpmath.mpf("1e-30")
