@@ -162,7 +162,7 @@ _small = st.integers(min_value=-4, max_value=4)
 _denominator = st.integers(min_value=1, max_value=6)
 _nonzero = st.integers(min_value=-12, max_value=12).filter(bool)
 _factor = st.one_of(
-    st.tuples(st.integers(min_value=1, max_value=3), _small),
+    st.tuples(_small.filter(bool), _small),
     st.tuples(
         st.builds(F, _nonzero, _denominator),
         st.builds(F, st.integers(min_value=-12, max_value=12), _denominator),
