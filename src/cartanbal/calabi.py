@@ -15,6 +15,9 @@ rising(alpha, mw)/mw!.  Summing squared moduli of all components (each
 
 which verify_pullback checks numerically on sample points, with an analytic
 bound on the truncated tail.
+
+_power_sum is the one evaluator of the numeric power sums in this package:
+the pullback check here and every epsilon value and tail slice in epsilon.py.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .balanced import HartogsSpec
 from .errors import (
@@ -65,6 +70,29 @@ def multi_index_enumerate(dim: int, degree_cap: int) -> list[tuple[int, ...]]:
     for total in range(degree_cap + 1):
         level = sorted(compositions(total, dim), key=lambda t: tuple(reversed(t)))
         out.extend(level)
+    return out
+
+
+def _dense(index, values: np.ndarray) -> np.ndarray:
+    """Dense float array holding values at the int indices (one row each), zero elsewhere."""
+    index = np.asarray(index).reshape(len(values), -1).T
+    out = np.zeros(tuple(index.max(axis=1) + 1))
+    out[tuple(index)] = values
+    return out
+
+
+def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
+    """sum_e coef[e] * prod_i b_i^(e_i) at every row b of bases.
+
+    coef is dense with one axis per variable and zeros off the support;
+    bases is (npoints, coef.ndim).  Axes are contracted one at a time, last
+    first, against the power vectors of their variable.
+    """
+    bases = np.asarray(bases, dtype=float)
+    out = np.broadcast_to(coef, (len(bases), *coef.shape))
+    for axis in reversed(range(coef.ndim)):
+        powers = bases[:, axis, None] ** np.arange(coef.shape[axis])
+        out = np.einsum("s...k,sk->s...", out, powers)
     return out
 
 
@@ -114,6 +142,8 @@ def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients
         raise BallNotAllowedError(
             f"immersion coefficients need a ball base, got {spec.base.label}"
         )
+    if degree_cap < 0:
+        raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
     d = spec.base.dim
     entries: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for mw in range(degree_cap + 1):
@@ -182,46 +212,40 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     """Compare the truncated coefficient sum against ((1-|z|^2)^mu-|w|^2)^(-alpha).
 
     Each sample is (z, w) with z a scalar (d=1) or a coordinate tuple.  Points
-    must lie strictly inside the domain; the returned tail_bound is the
-    analytic truncation bound at the worst sample, relative to the target
-    value, and the measured error must stay below it (up to float roundoff).
+    must lie strictly inside the domain.  The coefficients go into one dense
+    array indexed by (*mz, mw), and one _power_sum call evaluates the
+    truncated sum at all samples, with bases (|z_1|^2, ..., |z_d|^2, |w|^2).
+    The returned tail_bound is the analytic truncation bound at the worst
+    sample, relative to the target value, and the measured error must stay
+    below it (up to float roundoff).
     """
     spec = coeffs.spec
     d = spec.base.dim
     mu = float(spec.mu)
     alpha = float(spec.alpha)
-    float_entries = [
-        (mz, mw, float(c)) for (mz, mw), c in sorted(coeffs.entries.items())
-    ]
-
-    max_rel = 0.0
-    worst = None
-    q_max = 0.0
-    count = 0
-    for z, w in samples:
-        zs = _as_point(z, d)
-        x = sum(abs(part) ** 2 for part in zs)
+    points = list(samples)
+    if not points:
+        raise ValueError("verify_pullback needs at least one sample")
+    rows = []
+    for z, w in points:
+        moduli = [abs(part) ** 2 for part in _as_point(z, d)]
+        x = sum(moduli)
         y = abs(complex(w)) ** 2
         if x >= 1.0 or y >= (1.0 - x) ** mu:
             raise SampleOutsideDomainError(
                 f"sample z={z!r}, w={w!r} lies outside |w|^2 < (1-|z|^2)^mu < 1"
             )
-        q_max = max(q_max, x, y / (1.0 - x) ** mu)
-        target = ((1.0 - x) ** mu - y) ** (-alpha)
-        moduli = [abs(part) ** 2 for part in zs]
-        terms = []
-        for mz, mw, c in float_entries:
-            term = c * (y**mw)
-            for t_i, power in zip(moduli, mz):
-                term *= t_i**power
-            terms.append(term)
-        total = math.fsum(terms)
-        rel = abs(total - target) / target
-        count += 1
-        if rel >= max_rel:
-            max_rel = rel
-            worst = (z, w)
-    if count == 0:
-        raise ValueError("verify_pullback needs at least one sample")
+        rows.append((*moduli, y))
+    bases = np.array(rows)
+    x = bases[:, :d].sum(axis=1)
+    y = bases[:, d]
+    n_mu = (1.0 - x) ** mu
+    target = (n_mu - y) ** (-alpha)
+    mz, mw = zip(*coeffs.entries)
+    values = np.fromiter(map(float, coeffs.entries.values()), float, len(mw))
+    coef = _dense(np.column_stack([mz, mw]), values)
+    rel = np.abs(_power_sum(coef, bases) - target) / target
+    worst = int(np.argmax(rel))
+    q_max = float(max(x.max(), (y / n_mu).max()))
     tail = _tail_bound_rel(q_max, coeffs.cutoff, mu, alpha)
-    return PullbackCheck(max_rel, tail, count, worst)
+    return PullbackCheck(float(rel[worst]), tail, len(points), points[worst])

@@ -677,7 +677,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (CartanbalError, ValueError, ArithmeticError) as exc:
+    except (CartanbalError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

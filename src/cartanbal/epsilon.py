@@ -24,9 +24,10 @@ span many orders across the degree range, so relative accuracy per norm is
 what the constancy spreads require; for norms of order one this is at least
 as strict as the same figure read as an absolute target.
 
-Divergent norms are never reported as numbers: the norms object carries a
-divergence flag set from the exact integrability thresholds (alpha <= d for
-the ball; alpha <= d+1 or alpha*mu <= gamma-1 = 1 for the Hartogs disc).
+Divergent norms are never reported as numbers.  Each setting tests its exact
+integrability threshold once, where its norms are built (alpha > d for the
+ball; alpha > 2 and alpha*mu > 1 for the Hartogs disc), and every evaluator
+raises that setting's one TrivialSpaceError through _require_convergent.
 
 The epsilon function of the weight is
 
@@ -34,6 +35,9 @@ The epsilon function of the weight is
 
 so on the ball epsilon(z) = (1-|z|^2)^alpha sum |z^m|^2/||z^m||^2, and over
 the disc epsilon(z, w) = (N^mu - |w|^2)^alpha sum |z^j w^m|^2/||z^j w^m||^2.
+Each sum is a power sum in the squared moduli, with coefficients the dense
+inverse-norm array that each norms object derives once; calabi._power_sum
+evaluates it at one point, on a whole grid, and on the ball's tail slice.
 Constancy of epsilon over a grid is the numerical signature of balancedness:
 spread below 1e-5 reads as constant, above 1e-3 as non-constant, and the gap
 between them is treated as inconclusive (callers fail loudly on it).
@@ -43,12 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from .calabi import multi_index_enumerate
+from .calabi import _as_point, _dense, _power_sum, multi_index_enumerate
 from .errors import (
     QuadratureFailureError,
     SampleOutsideDomainError,
@@ -93,6 +97,22 @@ class WeightedBasisNorms:
     divergent: bool
     quadrature_error: float
 
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """1/norm as a dense array, one axis per variable, zero off the keys."""
+        return _dense(list(self.norms), 1.0 / np.fromiter(self.norms.values(), float))
+
+
+_DIVERGENT = {
+    "ball": "alpha must exceed d = {} for a nontrivial space, got {}",
+    "hartogs-disc": "norms diverge for mu={}, alpha={} (needs alpha > 2 and alpha*mu > 1)",
+}
+
+
+def _require_convergent(norms: WeightedBasisNorms) -> None:
+    if norms.divergent:
+        raise TrivialSpaceError(_DIVERGENT[norms.setting].format(*norms.params))
+
 
 @dataclass(frozen=True)
 class EpsilonReport:
@@ -127,6 +147,12 @@ class DiscGrid:
             raise SampleOutsideDomainError(
                 "grid bounds must satisfy 0 <= t_max < 1 and 0 <= u_max < 1"
             )
+
+
+def _report(grid, values: np.ndarray, caps: tuple, tail: float) -> EpsilonReport:
+    values = values.tolist()
+    vmax, vmin = max(values), min(values)
+    return EpsilonReport(tuple(grid), tuple(values), vmin, vmax, (vmax - vmin) / vmax, caps, tail)
 
 
 def constancy_verdict(spread: float) -> str:
@@ -186,6 +212,8 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     alpha = float(alpha)
     if d not in (1, 2):
         raise ValueError(f"d must be 1 or 2, got {d}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
     if alpha <= d:
@@ -214,28 +242,13 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
 
 def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
     """epsilon at one point of the ball, from precomputed norms."""
+    _require_convergent(norms)
     d, alpha = norms.params
-    if norms.divergent:
-        raise TrivialSpaceError(
-            f"no nonzero analytic functions for ball d={d}, alpha={alpha}"
-        )
-    zs = (complex(z),) if d == 1 and not isinstance(z, (tuple, list)) else tuple(
-        complex(p) for p in z
-    )
-    if len(zs) != d:
-        raise SampleOutsideDomainError(f"z must have {d} coordinates")
-    t = sum(abs(p) ** 2 for p in zs)
+    moduli = [abs(p) ** 2 for p in _as_point(z, d)]
+    t = sum(moduli)
     if t >= 1.0:
         raise SampleOutsideDomainError(f"|z|^2 = {t} is not < 1")
-    if d == 1:
-        terms = [t**m / norm for m, norm in norms.norms.items()]
-    else:
-        moduli = [abs(p) ** 2 for p in zs]
-        terms = [
-            (moduli[0] ** m1) * (moduli[1] ** m2) / norm
-            for (m1, m2), norm in norms.norms.items()
-        ]
-    return (1.0 - t) ** alpha * math.fsum(terms)
+    return (1.0 - t) ** alpha * float(_power_sum(norms._inverse, [moduli])[0])
 
 
 @lru_cache(maxsize=16)
@@ -248,52 +261,30 @@ def epsilon_ball(
 ) -> EpsilonReport:
     """epsilon along a radial grid on the ball; TrivialSpaceError if alpha <= d.
 
-    The truncation tail at |z|^2 = t obeys the exact term ratio
+    For d=2 the grid runs along the diagonal |z_1| = |z_2|.  The truncation
+    tail at |z|^2 = t obeys the exact term ratio
     a_(n+1)/a_n = t (n+alpha)/(n+1) (from the Beta-integral norms), which is
     decreasing in n, so the tail above the cap is bounded by the last kept
     degree-slice times a geometric series.
     """
     alpha = float(alpha)
-    if alpha <= d:
-        raise TrivialSpaceError(
-            f"alpha must exceed d = {d} for a nontrivial space, got {alpha}"
-        )
     if not 0 < grid_rmax < 1:
         raise SampleOutsideDomainError(f"grid_rmax must lie in (0, 1), got {grid_rmax}")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     norms = _ball_norms_cached(d, alpha, degree_cap)
-    direction = (1.0,) if d == 1 else (1 / math.sqrt(2), 1 / math.sqrt(2))
+    _require_convergent(norms)
     radii = np.linspace(0.0, grid_rmax, grid_points)
-    values = []
-    tail = 0.0
-    for r in radii:
-        z = r * direction[0] if d == 1 else tuple(r * u for u in direction)
-        values.append(epsilon_point_ball(norms, z))
-        t = float(r) ** 2
-        last_slice = _ball_last_slice(norms, t, degree_cap, direction)
-        rho = t * (degree_cap + alpha) / (degree_cap + 1)
-        bound = math.inf if rho >= 1 else (1 - t) ** alpha * last_slice * rho / (1 - rho)
-        tail = max(tail, bound)
-    vmax, vmin = max(values), min(values)
-    return EpsilonReport(
-        tuple((float(r), 0.0) for r in radii),
-        tuple(values),
-        vmin,
-        vmax,
-        (vmax - vmin) / vmax,
-        (degree_cap,),
-        tail,
-    )
-
-
-def _ball_last_slice(norms, t: float, cap: int, direction) -> float:
-    d, _ = norms.params
-    if d == 1:
-        return t**cap / norms.norms[cap]
-    m0 = direction[0] ** 2 * t
-    m1 = direction[1] ** 2 * t
-    return math.fsum(
-        m0**i * m1 ** (cap - i) / norms.norms[(i, cap - i)] for i in range(cap + 1)
-    )
+    t = radii**2
+    bases = np.outer(t, [1.0] if d == 1 else [0.5, 0.5])
+    inv = norms._inverse
+    top_degree = np.indices(inv.shape).sum(axis=0) == degree_cap
+    weight = (1.0 - t) ** alpha
+    values = weight * _power_sum(inv, bases)
+    last_slice = _power_sum(np.where(top_degree, inv, 0.0), bases)
+    rho = t * (degree_cap + alpha) / (degree_cap + 1)
+    tail = math.inf if rho.max() >= 1 else float(np.max(weight * last_slice * rho / (1 - rho)))
+    return _report([(r, 0.0) for r in radii.tolist()], values, (degree_cap,), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +305,10 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     mu = float(mu)
     alpha = float(alpha)
     cap_z, cap_w = caps
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive, got {mu}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if cap_z < 0 or cap_w < 0:
         raise ValueError(f"caps must be nonnegative, got {caps}")
     if alpha <= 2 or alpha * mu <= 1:
@@ -342,66 +335,36 @@ def _hartogs_norms_cached(mu: float, alpha: float, caps: tuple[int, int]):
 
 def epsilon_point_hartogs(norms: WeightedBasisNorms, z, w) -> float:
     """epsilon at one point (z, w) of the Hartogs disc domain."""
+    _require_convergent(norms)
     mu, alpha = norms.params
-    if norms.divergent:
-        raise TrivialSpaceError(
-            f"norms diverge for mu={mu}, alpha={alpha} (needs alpha > 2 and "
-            "alpha*mu > 1)"
-        )
     t = abs(complex(z)) ** 2
     y = abs(complex(w)) ** 2
     if t >= 1.0 or y >= (1.0 - t) ** mu:
         raise SampleOutsideDomainError(
             f"(z, w) with |z|^2={t}, |w|^2={y} lies outside the domain"
         )
-    terms = [t**j * y**m / norm for (j, m), norm in norms.norms.items()]
-    return ((1.0 - t) ** mu - y) ** alpha * math.fsum(terms)
+    return ((1.0 - t) ** mu - y) ** alpha * float(_power_sum(norms._inverse, [(t, y)])[0])
 
 
 def epsilon_hartogs_disc(
     mu, alpha, grid: DiscGrid | None = None, caps: tuple[int, int] = (80, 80)
 ) -> EpsilonReport:
     """epsilon over an interior grid of the Hartogs disc domain."""
-    mu = float(mu)
-    alpha = float(alpha)
     if grid is None:
         grid = DiscGrid()
-    norms = _hartogs_norms_cached(mu, alpha, caps)
-    if norms.divergent:
-        raise TrivialSpaceError(
-            f"norms diverge for mu={mu}, alpha={alpha} (needs alpha > 2 and "
-            "alpha*mu > 1)"
-        )
-    cap_z, cap_w = caps
-    t_values = np.linspace(0.0, grid.t_max, grid.nz)
-    u_values = np.linspace(0.0, grid.u_max, grid.nw)
-    inv = np.empty((cap_z + 1, cap_w + 1))
-    for (j, m), norm in norms.norms.items():
-        inv[j, m] = 1.0 / norm
-    grid_pts = []
-    values = []
-    tail = 0.0
-    for t in t_values:
-        n_mu = (1.0 - t) ** mu
-        tj = np.power(float(t), np.arange(cap_z + 1))
-        for u in u_values:
-            y = u * n_mu
-            ym = np.power(float(y), np.arange(cap_w + 1))
-            total = float(tj @ inv @ ym)
-            grid_pts.append((math.sqrt(t), math.sqrt(y)))
-            values.append((n_mu - y) ** alpha * total)
-            bound = _hartogs_tail_bound(float(t), float(y), mu, alpha, cap_z, cap_w)
-            tail = max(tail, bound)
-    vmax, vmin = max(values), min(values)
-    return EpsilonReport(
-        tuple(grid_pts),
-        tuple(values),
-        vmin,
-        vmax,
-        (vmax - vmin) / vmax,
-        caps,
-        tail,
+    norms = _hartogs_norms_cached(float(mu), float(alpha), caps)
+    _require_convergent(norms)
+    mu, alpha = norms.params
+    t, u = np.meshgrid(
+        np.linspace(0.0, grid.t_max, grid.nz),
+        np.linspace(0.0, grid.u_max, grid.nw),
+        indexing="ij",
     )
+    n_mu = (1.0 - t.ravel()) ** mu
+    bases = np.column_stack([t.ravel(), u.ravel() * n_mu])
+    values = (n_mu - bases[:, 1]) ** alpha * _power_sum(norms._inverse, bases)
+    tail = max(_hartogs_tail_bound(tp, yp, mu, alpha, *caps) for tp, yp in bases.tolist())
+    return _report(map(tuple, np.sqrt(bases).tolist()), values, caps, tail)
 
 
 def _log_beta(a: float, b: float) -> float:

@@ -107,6 +107,11 @@ def test_immersion_needs_ball_base():
         build_immersion(HartogsSpec(parse_domain("I:2,2"), F(1), F(7)), 5)
 
 
+def test_immersion_rejects_negative_cap():
+    with pytest.raises(ValueError, match="degree_cap"):
+        build_immersion(HartogsSpec(ball(1), F(1), F(3)), -1)
+
+
 def test_pullback_disc():
     spec = HartogsSpec(ball(1), F(1), F(3))
     coeffs = build_immersion(spec, 60)

@@ -1,6 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartanbal.cli import catalog_hash, main
 from cartanbal.exactnum import FactoredRational
@@ -269,3 +275,111 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert "cartanbal" in out
+
+
+def test_non_finite_numeric_inputs_name_the_parameter(capsys):
+    hartogs = ("epsilon-hartogs", "--grid", "2x2", "--caps", "4,4")
+    cases = [
+        (("epsilon-ball",), "--alpha"),
+        (hartogs + ("--alpha", "4"), "--mu"),
+        (hartogs + ("--mu", "1"), "--alpha"),
+    ]
+    for base, flag in cases:
+        for value in ("nan", "inf", "-inf"):
+            code, _, err = run(capsys, *base, f"{flag}={value}")
+            assert code == 1, (base, flag, value)
+            assert f"{flag[2:]} must be finite" in err, (base, flag, value, err)
+
+
+def test_immersion_negative_cap_is_an_error(capsys):
+    code, _, err = run(capsys, "immersion", "--mu", "1", "--alpha", "3", "--cap", "-1")
+    assert code == 1
+    assert "degree_cap" in err
+
+
+def test_epsilon_ball_needs_grid_points(capsys):
+    for points in ("0", "-1"):
+        code, _, err = run(capsys, "epsilon-ball", "--alpha", "3", "--cap", "10", "--grid-points", points)
+        assert code == 1
+        assert "grid_points" in err
+
+
+def test_csv_write_failure_is_an_error(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "eps.csv")
+    code, _, err = run(capsys, "epsilon-ball", "--alpha", "3", "--cap", "10", "--csv", missing)
+    assert code == 1
+    assert "error" in err and "Traceback" not in err
+
+
+# Flags per subcommand: (always passed, passed or not).  The required flags
+# and the size flags are always passed, so that most draws get past argument
+# parsing and none falls back to a large default size.
+_FUZZ_COMMANDS = {
+    "catalog": (["--dim-cap"], []),
+    "wallach": (["--domain"], []),
+    "projective": (["--domain", "--beta"], []),
+    "projective-hartogs": (["--domain", "--mu", "--alpha"], []),
+    "moment": (["--domain", "--s"], []),
+    "moment-ratio": (["--domain"], []),
+    "balanced-cartan": (["--domain", "--beta"], []),
+    "balanced-hartogs": (["--domain", "--mu", "--alpha"], []),
+    "scan": (["--dim-cap"], ["--mus", "--alphas", "--extended-alphas"]),
+    "corollary-scan": (["--dim-cap"], ["--alphas"]),
+    "immersion": (["--mu", "--alpha", "--cap"], ["--d", "--check-grid"]),
+    "epsilon-ball": (["--alpha", "--cap"], ["--d", "--rmax", "--grid-points", "--csv"]),
+    "epsilon-hartogs": (
+        ["--mu", "--alpha", "--grid", "--caps"],
+        ["--t-max", "--u-max", "--csv"],
+    ),
+}
+_FUZZ_SWITCHES = ("--json", "--manifest", "--extended-alphas")
+_FUZZ_POOL = ("nan", "inf", "-inf", "-1", "0", "1/2", "3", "junk", "")
+# well-formed values for structured flags, within the size limits
+_FUZZ_SHAPED = {
+    "--dim-cap": ("8",),
+    "--cap": ("10",),
+    "--caps": ("10,10", "3,0", "-1,2"),
+    "--grid": ("3x3", "1x2", "0x3"),
+    "--check-grid": ("0.4:3", "0.9:2"),
+    "--domain": ("I:1,1", "I:2,3", "IV:3"),
+    "--mus": ("1/2,1",),
+    "--alphas": ("4,11/2", "3,nan"),
+    "--d": ("1", "2"),
+    "--mu": ("1", "2", "3/2"),
+    "--alpha": ("4", "5/2", "2.5"),
+    "--beta": ("4/5",),
+    "--s": ("1/3",),
+    "--rmax": ("0.5",),
+    "--t-max": ("0.3",),
+    "--u-max": ("0.3",),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    always, maybe = _FUZZ_COMMANDS[name]
+    flags = always + [flag for flag in maybe + ["--json", "--manifest"] if draw(st.booleans())]
+    argv = [name]
+    for flag in flags:
+        if flag in _FUZZ_SWITCHES:
+            argv.append(flag)
+        else:
+            value = draw(st.sampled_from(_FUZZ_POOL + _FUZZ_SHAPED.get(flag, ())))
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@given(argv=_fuzz_argv())
+@settings(max_examples=100, deadline=None)
+def test_main_fuzz_exit_contract(argv, tmp_path_factory):
+    here = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("fuzz"))  # --csv writes relative paths here
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(here)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

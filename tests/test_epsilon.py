@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -130,6 +131,73 @@ def test_epsilon_ball_divergent_raises():
         epsilon_ball(1, 1.0, 0.5, 20)
     with pytest.raises(SampleOutsideDomainError):
         epsilon_ball(1, 3.0, 1.2, 20)
+    with pytest.raises(ValueError, match="grid_points"):
+        epsilon_ball(1, 3.0, 0.5, 20, grid_points=0)
+
+
+def test_norms_reject_non_finite_parameters():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            ball_monomial_norms(1, bad, 5)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            hartogs_disc_norms(1.0, bad, (3, 3))
+        with pytest.raises(ValueError, match="mu must be finite"):
+            hartogs_disc_norms(bad, 4.0, (3, 3))
+
+
+@pytest.mark.parametrize(
+    "d, alpha, rmax, cap", [(1, 3.0, 0.9, 60), (2, 4.0, 0.5, 40)]
+)
+def test_point_and_grid_agree_ball(d, alpha, rmax, cap):
+    report = epsilon_ball(d, alpha, rmax, cap)
+    norms = ball_monomial_norms(d, alpha, cap)
+    for (r, _), value in zip(report.grid, report.values):
+        z = r if d == 1 else (r / math.sqrt(2), r / math.sqrt(2))
+        assert epsilon_point_ball(norms, z) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def test_point_and_grid_agree_hartogs():
+    report = epsilon_hartogs_disc(2.0, 4.0, grid=DiscGrid(nz=8, nw=8), caps=(40, 40))
+    norms = hartogs_disc_norms(2.0, 4.0, (40, 40))
+    assert len(report.values) == 64
+    for (rz, rw), value in zip(report.grid, report.values):
+        assert epsilon_point_hartogs(norms, rz, rw) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def _worst_rel_gap(norms, exact) -> float:
+    """Largest relative gap between the quadrature norms and exact(key)."""
+    worst = 0.0
+    with mpmath.workdps(30):
+        for key, value in norms.norms.items():
+            oracle = exact(key)
+            worst = max(worst, float(abs(value - oracle) / oracle))
+    return worst
+
+
+def test_quadrature_norms_match_mpmath_beta():
+    # every norm at the acceptance settings is pi^k times a product of Beta values
+    pi, beta, mpf = mpmath.pi, mpmath.beta, mpmath.mpf
+
+    def hartogs_exact(key, mu=mpf(2), alpha=mpf(4)):
+        j, m = key
+        return pi**2 * beta(m + 1, alpha - 2) * beta(j + 1, mu * (alpha + m) - 1)
+
+    def ball2_exact(key, alpha=mpf("3.5")):
+        m1, m2 = key
+        return pi**2 * beta(m1 + 1, m2 + 1) * beta(m1 + m2 + 2, alpha - 2)
+
+    def ball1_exact(m, alpha=mpf(3)):
+        return pi * beta(m + 1, alpha - 1)
+
+    cases = [
+        (hartogs_disc_norms(2, 4, (80, 80)), hartogs_exact, 81 * 81),
+        (ball_monomial_norms(2, 3.5, 100), ball2_exact, 101 * 102 // 2),
+        (ball_monomial_norms(1, 3, 200), ball1_exact, 201),
+    ]
+    for norms, exact, count in cases:
+        assert len(norms.norms) == count
+        worst = _worst_rel_gap(norms, exact)
+        assert worst < 1e-10, (norms.setting, norms.params, worst)
 
 
 def test_epsilon_point_ball_rotation_invariant():
