@@ -22,6 +22,7 @@ the pullback check here and every epsilon value and tail slice in epsilon.py.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -212,9 +213,11 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     """Compare the truncated coefficient sum against ((1-|z|^2)^mu-|w|^2)^(-alpha).
 
     Each sample is (z, w) with z a scalar (d=1) or a coordinate tuple.  Points
-    must lie strictly inside the domain.  The coefficients go into one dense
-    array indexed by (*mz, mw), and one _power_sum call evaluates the
-    truncated sum at all samples, with bases (|z_1|^2, ..., |z_d|^2, |w|^2).
+    must lie strictly inside the domain.  The truncated sum is evaluated at
+    all samples one fiber power mw at a time: the coefficients of that mw go
+    into a dense array indexed by mz, one _power_sum call evaluates it at the
+    bases (|z_1|^2, ..., |z_d|^2), and the result is weighted by |w|^(2 mw).
+    So the dense array holds (cap+1)^d cells at most, not (cap+1)^(d+1).
     The returned tail_bound is the analytic truncation bound at the worst
     sample, relative to the target value, and the measured error must stay
     below it (up to float roundoff).
@@ -241,10 +244,13 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     y = bases[:, d]
     n_mu = (1.0 - x) ** mu
     target = (n_mu - y) ** (-alpha)
-    mz, mw = zip(*coeffs.entries)
-    values = np.fromiter(map(float, coeffs.entries.values()), float, len(mw))
-    coef = _dense(np.column_stack([mz, mw]), values)
-    rel = np.abs(_power_sum(coef, bases) - target) / target
+    total = np.zeros(len(points))
+    # entries come grouped by mw; a split group would only cost an extra call
+    for mw, fiber in itertools.groupby(coeffs.entries.items(), key=lambda item: item[0][1]):
+        keys, values = zip(*fiber)
+        coef = _dense([mz for mz, _ in keys], np.fromiter(map(float, values), float, len(values)))
+        total += y**mw * _power_sum(coef, bases[:, :d])
+    rel = np.abs(total - target) / target
     worst = int(np.argmax(rel))
     q_max = float(max(x.max(), (y / n_mu).max()))
     tail = _tail_bound_rel(q_max, coeffs.cutoff, mu, alpha)

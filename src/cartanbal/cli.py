@@ -11,6 +11,15 @@ Every subcommand supports --json (machine-readable output with a schema
 version field) and --manifest (tool version, catalog hash, and the full
 parameter set, for reproducibility).  The epsilon subcommands can also dump
 their grids as CSV with columns |z|, |w|, epsilon.
+
+Render contract: a handler computes each value once and returns
+(exit code, payload, lines).  The payload holds raw values (Fraction,
+CartanDomain, bool, None, numbers, and sequences of these); the lines are
+str.format templates over the payload and the parsed flags.  _render is the
+one print path: it adds the schema field and the manifest, then prints the
+payload through one JSON encoder (_json_default: a Fraction as "p/q", a
+domain as its label) or fills the templates (_fmt: true/false, "-" for None,
+sequences comma-joined; explicit specs such as {spread:.3e} format floats).
 """
 
 from __future__ import annotations
@@ -20,7 +29,9 @@ import csv
 import hashlib
 import json
 import re
+import string
 import sys
+from collections import ChainMap
 from fractions import Fraction
 
 import numpy as np
@@ -34,10 +45,10 @@ from .balanced import (
     hartogs_balanced,
 )
 from .calabi import build_immersion, verify_pullback
-from .catalog import ball, enumerate_catalog, parse_domain
+from .catalog import CartanDomain, ball, enumerate_catalog, parse_domain
 from .epsilon import DiscGrid, constancy_verdict, epsilon_ball, epsilon_hartogs_disc
 from .errors import CartanbalError
-from .exactnum import format_rational, parse_rational
+from .exactnum import parse_rational
 from .moments import moment_converges, moment_ratio
 from .wallach import (
     cartan_projectively_induced,
@@ -81,21 +92,41 @@ def catalog_hash(dim_cap: int = 27) -> str:
 
 
 # ---------------------------------------------------------------------------
-# rendering helpers
+# rendering
 
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if value is None:
         return "-"
-    return str(value)
+    if isinstance(value, (list, tuple)):
+        return ", ".join(_fmt(v) for v in value)
+    return str(value)  # a Fraction prints as "p/q", a domain as its label
 
 
-def _table(headers, rows) -> list[str]:
-    cells = [[_fmt(c) for c in row] for row in rows]
+class _TextFormatter(string.Formatter):
+    """str.format whose empty spec renders through _fmt; explicit specs work as usual."""
+
+    def format_field(self, value, format_spec):
+        return super().format_field(value, format_spec) if format_spec else _fmt(value)
+
+
+_TEXT = _TextFormatter()
+
+
+def _json_default(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, CartanDomain):
+        return value.label
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def _table(columns, rows) -> list[str]:
+    """Aligned text table; columns are (header, payload key) pairs over dict rows."""
+    headers = [header for header, _ in columns]
+    cells = [[_fmt(row[key]) for _, key in columns] for row in rows]
     widths = [
         max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
         for i, h in enumerate(headers)
@@ -109,52 +140,31 @@ def _table(headers, rows) -> list[str]:
     return lines
 
 
-def _manifest_value(value):
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, (list, tuple)):
-        return [_manifest_value(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
-
-
-def _manifest_for(args) -> dict:
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "json", "manifest"):
-            continue
-        if hasattr(value, "label"):
-            value = value.label
-        params[key] = _manifest_value(value)
-    return {
-        "tool": "cartanbal",
-        "version": __version__,
-        "catalog_hash": catalog_hash(),
-        "parameters": params,
+def _render(args, payload: dict, lines: list[str]) -> None:
+    """The one print path: the payload as JSON, or the lines filled from it."""
+    payload = {"schema": _SCHEMA, **payload}
+    params = {
+        key: value
+        for key, value in sorted(vars(args).items())
+        if key not in ("func", "json", "manifest")
     }
-
-
-def _emit(args, payload: dict, lines: list[str]) -> None:
     if args.manifest:
-        payload = {**payload, "manifest": _manifest_for(args)}
+        payload["manifest"] = {
+            "tool": "cartanbal",
+            "version": __version__,
+            "catalog_hash": catalog_hash(),
+            "parameters": params,
+        }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, default=_json_default))
         return
-    for line in lines:
-        print(line)
+    fields = ChainMap(payload, vars(args))
+    text = [_TEXT.vformat(line, (), fields) for line in lines]
     if args.manifest:
         man = payload["manifest"]
-        print(f"manifest: {man['tool']} {man['version']} catalog {man['catalog_hash']}")
-        print(f"manifest parameters: {json.dumps(man['parameters'], sort_keys=True)}")
-
-
-def _write_csv(path: str, report) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["|z|", "|w|", "epsilon"])
-        for (rz, rw), value in zip(report.grid, report.values):
-            writer.writerow([repr(rz), repr(rw), repr(value)])
+        text.append(f"manifest: {man['tool']} {man['version']} catalog {man['catalog_hash']}")
+        text.append("manifest parameters: " + json.dumps(params, default=_json_default))
+    print("\n".join(text))
 
 
 # ---------------------------------------------------------------------------
@@ -191,238 +201,119 @@ def _check_grid(text: str) -> tuple[float, int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, payload, text line templates)
 
 
-def _cmd_catalog(args) -> int:
-    domains = enumerate_catalog(args.dim_cap)
+def _cmd_catalog(args):
     rows = [
-        {
-            "label": d.label,
-            "family": d.family.value,
-            "sizes": list(d.sizes),
-            "r": d.r,
-            "a": d.a,
-            "b": d.b,
-            "gamma": d.gamma,
-            "dim": d.dim,
-            "is_ball": d.is_ball,
-        }
-        for d in domains
+        {"label": d.label, "family": d.family.value, "sizes": d.sizes, "r": d.r, "a": d.a,
+         "b": d.b, "gamma": d.gamma, "dim": d.dim, "is_ball": d.is_ball}
+        for d in enumerate_catalog(args.dim_cap)
     ]
-    payload = {"schema": _SCHEMA, "dim_cap": args.dim_cap, "domains": rows}
-    lines = _table(
-        ["domain", "r", "a", "b", "gamma", "dim", "ball"],
-        [(d.label, d.r, d.a, d.b, d.gamma, d.dim, d.is_ball) for d in domains],
-    )
-    lines.append(f"{len(domains)} domains of dimension <= {args.dim_cap}")
-    _emit(args, payload, lines)
-    return 0
+    columns = [("domain", "label"), ("r", "r"), ("a", "a"), ("b", "b"), ("gamma", "gamma"),
+               ("dim", "dim"), ("ball", "is_ball")]
+    lines = _table(columns, rows) + [f"{len(rows)} domains of dimension <= {args.dim_cap}"]
+    return 0, {"dim_cap": args.dim_cap, "domains": rows}, lines
 
 
-def _cmd_wallach(args) -> int:
+def _cmd_wallach(args):
     ws = wallach_set(args.domain)
-    payload = {
-        "schema": _SCHEMA,
-        "domain": args.domain.label,
-        "discrete": [format_rational(p) for p in ws.discrete],
-        "threshold": format_rational(ws.continuous_threshold),
-    }
-    lines = [
-        f"domain: {args.domain.label}",
-        f"discrete points: {', '.join(format_rational(p) for p in ws.discrete)}",
-        f"continuous part: every value > {format_rational(ws.continuous_threshold)}",
-    ]
-    _emit(args, payload, lines)
-    return 0
+    payload = {"domain": args.domain, "discrete": ws.discrete,
+               "threshold": ws.continuous_threshold}
+    lines = ["domain: {domain}", "discrete points: {discrete}",
+             "continuous part: every value > {threshold}"]
+    return 0, payload, lines
 
 
-def _cmd_projective(args) -> int:
+def _cmd_projective(args):
     induced = cartan_projectively_induced(args.domain, args.beta)
-    payload = {
-        "schema": _SCHEMA,
-        "domain": args.domain.label,
-        "beta": format_rational(args.beta),
-        "projectively_induced": induced,
-    }
-    lines = [
-        f"domain: {args.domain.label}  beta: {format_rational(args.beta)}",
-        f"projectively induced: {_fmt(induced)}",
-    ]
-    _emit(args, payload, lines)
-    return 0 if induced else 2
+    payload = {"domain": args.domain, "beta": args.beta, "projectively_induced": induced}
+    lines = ["domain: {domain}  beta: {beta}", "projectively induced: {projectively_induced}"]
+    return (0 if induced else 2), payload, lines
 
 
-def _cmd_projective_hartogs(args) -> int:
+def _cmd_projective_hartogs(args):
     spec = HartogsSpec(args.domain, args.mu, args.alpha)
     witness = hartogs_projective_failure(spec)
-    induced = witness is None
-    payload = {
-        "schema": _SCHEMA,
-        "domain": args.domain.label,
-        "mu": format_rational(args.mu),
-        "alpha": format_rational(args.alpha),
-        "projectively_induced": induced,
-        "witness_m": witness,
-    }
-    lines = [f"spec: {spec.label}", f"projectively induced: {_fmt(induced)}"]
-    if not induced:
-        lines.append(f"fails at fiber power m = {witness}")
-    _emit(args, payload, lines)
-    return 0 if induced else 2
+    payload = {"domain": args.domain, "mu": args.mu, "alpha": args.alpha,
+               "projectively_induced": witness is None, "witness_m": witness}
+    lines = [f"spec: {spec.label}", "projectively induced: {projectively_induced}"]
+    if witness is not None:
+        lines.append("fails at fiber power m = {witness_m}")
+    return (0 if witness is None else 2), payload, lines
 
 
-def _cmd_moment(args) -> int:
+def _cmd_moment(args):
     if not moment_converges(args.domain, args.s):
-        raise CartanbalError(
-            f"moment integral diverges at s = {format_rational(args.s)}; needs s > -1"
-        )
+        raise CartanbalError(f"moment integral diverges at s = {args.s}; needs s > -1")
     value = moment_ratio(args.domain).eval_at(args.s)
-    payload = {
-        "schema": _SCHEMA,
-        "domain": args.domain.label,
-        "s": format_rational(args.s),
-        "value": format_rational(value),
-        "value_float": float(value),
-    }
-    lines = [
-        f"domain: {args.domain.label}  s: {format_rational(args.s)}",
-        f"moment ratio: {format_rational(value)} = {float(value):.12g}",
-    ]
-    _emit(args, payload, lines)
-    return 0
+    payload = {"domain": args.domain, "s": args.s, "value": value, "value_float": float(value)}
+    lines = ["domain: {domain}  s: {s}", "moment ratio: {value} = {value_float:.12g}"]
+    return 0, payload, lines
 
 
-def _cmd_moment_ratio(args) -> int:
+def _cmd_moment_ratio(args):
     mr = moment_ratio(args.domain)
     fr = mr.as_rational
-    payload = {
-        "schema": _SCHEMA,
-        "domain": args.domain.label,
-        "text": str(fr),
-        "round_trip": fr.to_text(),
-        "numer_degree": fr.numer_degree,
-        "denom_degree": fr.denom_degree,
-        "block_lengths": list(mr.block_lengths),
-    }
-    lines = [
-        f"domain: {args.domain.label}",
-        f"block lengths: {', '.join(str(n) for n in mr.block_lengths)}",
-        f"moment ratio M(s) = {fr}",
-    ]
-    _emit(args, payload, lines)
-    return 0
+    payload = {"domain": args.domain, "text": str(fr), "round_trip": fr.to_text(),
+               "numer_degree": fr.numer_degree, "denom_degree": fr.denom_degree,
+               "block_lengths": mr.block_lengths}
+    lines = ["domain: {domain}", "block lengths: {block_lengths}", "moment ratio M(s) = {text}"]
+    return 0, payload, lines
 
 
-def _cmd_balanced_cartan(args) -> int:
-    dom = args.domain
-    verdict = cartan_balanced(dom, args.beta)
-    threshold = Fraction(dom.gamma - 1, dom.gamma)
-    payload = {
-        "schema": _SCHEMA,
-        "domain": dom.label,
-        "beta": format_rational(args.beta),
-        "threshold": format_rational(threshold),
-        "balanced": verdict,
-    }
-    lines = [
-        f"domain: {dom.label}  beta: {format_rational(args.beta)}"
-        f"  threshold: {format_rational(threshold)} (exclusive)",
-        f"balanced: {_fmt(verdict)}",
-    ]
-    _emit(args, payload, lines)
-    return 0 if verdict else 2
+def _cmd_balanced_cartan(args):
+    gamma = args.domain.gamma
+    verdict = cartan_balanced(args.domain, args.beta)
+    payload = {"domain": args.domain, "beta": args.beta,
+               "threshold": Fraction(gamma - 1, gamma), "balanced": verdict}
+    lines = ["domain: {domain}  beta: {beta}  threshold: {threshold} (exclusive)",
+             "balanced: {balanced}"]
+    return (0 if verdict else 2), payload, lines
 
 
-def _cmd_balanced_hartogs(args) -> int:
+def _cmd_balanced_hartogs(args):
     spec = HartogsSpec(args.domain, args.mu, args.alpha)
-    verdict = hartogs_balanced(spec)
-    payload = {
-        "schema": _SCHEMA,
-        "domain": args.domain.label,
-        "mu": format_rational(args.mu),
-        "alpha": format_rational(args.alpha),
-        "balanced": verdict.balanced,
-        "reason": verdict.reason,
-        "witness_m": verdict.witness_m,
-        "value_at_0": None
-        if verdict.value_at_0 is None
-        else format_rational(verdict.value_at_0),
-        "value_at_witness": None
-        if verdict.value_at_witness is None
-        else format_rational(verdict.value_at_witness),
-    }
-    lines = [f"spec: {spec.label}", f"balanced: {_fmt(verdict.balanced)}"]
-    if not verdict.balanced:
-        detail = f"reason: {verdict.reason}"
-        if verdict.witness_m is not None:
-            detail += (
-                f"; ratio at m=0 is {format_rational(verdict.value_at_0)}"
-                f" but at m={verdict.witness_m} is"
-                f" {format_rational(verdict.value_at_witness)}"
-            )
-        lines.append(detail)
-    _emit(args, payload, lines)
-    return 0 if verdict.balanced else 2
+    v = hartogs_balanced(spec)
+    payload = {"domain": args.domain, "mu": args.mu, "alpha": args.alpha,
+               "balanced": v.balanced, "reason": v.reason, "witness_m": v.witness_m,
+               "value_at_0": v.value_at_0, "value_at_witness": v.value_at_witness}
+    lines = [f"spec: {spec.label}", "balanced: {balanced}"]
+    if v.witness_m is not None:
+        lines.append("reason: {reason}; ratio at m=0 is {value_at_0}"
+                     " but at m={witness_m} is {value_at_witness}")
+    elif not v.balanced:
+        lines.append("reason: {reason}")
+    return (0 if v.balanced else 2), payload, lines
 
 
-def _cmd_scan(args) -> int:
-    rows = balanced_scan(
-        args.dim_cap,
-        mus=args.mus,
-        alphas=args.alphas,
-        extended_alphas=args.extended_alphas,
-    )
-    payload = {"schema": _SCHEMA, "rows": [row.as_dict() for row in rows]}
-    lines = _table(
-        ["domain", "mu", "alpha", "balanced", "reason", "witness_m"],
-        [
-            (r.domain.label, r.mu, r.alpha, r.balanced, r.reason, r.witness_m)
-            for r in rows
-        ],
-    )
-    balanced_count = sum(1 for r in rows if r.balanced)
-    lines.append(f"{len(rows)} rows, {balanced_count} balanced")
-    _emit(args, payload, lines)
-    return 0
+def _cmd_scan(args):
+    scan = balanced_scan(args.dim_cap, mus=args.mus, alphas=args.alphas,
+                         extended_alphas=args.extended_alphas)
+    rows = [row.as_dict() for row in scan]
+    keys = ("domain", "mu", "alpha", "balanced", "reason", "witness_m")
+    lines = _table([(key, key) for key in keys], rows)
+    lines.append(f"{len(rows)} rows, {sum(r['balanced'] for r in rows)} balanced")
+    return 0, {"rows": rows}, lines
 
 
-def _cmd_corollary_scan(args) -> int:
+def _cmd_corollary_scan(args):
     report = corollary_scan(args.dim_cap, alphas=args.alphas)
-    payload = {
-        "schema": _SCHEMA,
-        "dim_cap": report.dim_cap,
-        "all_ok": report.all_ok,
-        "rows": [row.as_dict() for row in report.rows],
-    }
-    lines = _table(
-        ["domain", "excluded", "mu0", "alpha", "induced", "balanced", "ok"],
-        [
-            (
-                r.domain.label,
-                r.excluded,
-                r.mu0,
-                r.alpha,
-                r.projectively_induced,
-                r.balanced,
-                r.ok,
-            )
-            for r in report.rows
-        ],
-    )
-    lines.append(f"all rows ok: {_fmt(report.all_ok)}")
-    _emit(args, payload, lines)
-    return 0 if report.all_ok else 2
+    rows = [row.as_dict() for row in report.rows]
+    payload = {"dim_cap": report.dim_cap, "all_ok": report.all_ok, "rows": rows}
+    columns = [("domain", "domain"), ("excluded", "excluded"), ("mu0", "mu0"),
+               ("alpha", "alpha"), ("induced", "projectively_induced"),
+               ("balanced", "balanced"), ("ok", "ok")]
+    lines = _table(columns, rows) + ["all rows ok: {all_ok}"]
+    return (0 if report.all_ok else 2), payload, lines
 
 
-def _cmd_immersion(args) -> int:
+def _cmd_immersion(args):
     spec = HartogsSpec(ball(args.d), args.mu, args.alpha)
     coeffs = build_immersion(spec, args.cap)
-    check_payload = None
-    lines = [
-        f"spec: {spec.label}",
-        f"squared coefficients up to total degree {args.cap}: {len(coeffs.entries)}",
-    ]
+    payload = {"d": args.d, "mu": args.mu, "alpha": args.alpha, "cap": args.cap,
+               "entries": len(coeffs.entries), "check": None}
+    lines = [f"spec: {spec.label}", "squared coefficients up to total degree {cap}: {entries}"]
     if args.check_grid is not None:
         rmax, n = args.check_grid
         mu = float(spec.mu)
@@ -434,102 +325,121 @@ def _cmd_immersion(args) -> int:
                 if float(w) ** 2 < 0.9 * (1.0 - float(r) ** 2) ** mu:
                     samples.append((z, float(w)))
         check = verify_pullback(coeffs, samples)
-        check_payload = {
-            "max_rel_error": check.max_rel_error,
-            "tail_bound": check.tail_bound,
-            "samples_checked": check.samples_checked,
-        }
-        lines.append(
-            f"pullback check on {check.samples_checked} samples:"
-            f" max relative error {check.max_rel_error:.3e},"
-            f" tail bound {check.tail_bound:.3e}"
-        )
-    payload = {
-        "schema": _SCHEMA,
-        "d": args.d,
-        "mu": format_rational(args.mu),
-        "alpha": format_rational(args.alpha),
-        "cap": args.cap,
-        "entries": len(coeffs.entries),
-        "check": check_payload,
-    }
-    _emit(args, payload, lines)
-    return 0
+        payload["check"] = {"max_rel_error": check.max_rel_error,
+                            "tail_bound": check.tail_bound,
+                            "samples_checked": check.samples_checked}
+        lines.append("pullback check on {check[samples_checked]} samples:"
+                     " max relative error {check[max_rel_error]:.3e},"
+                     " tail bound {check[tail_bound]:.3e}")
+    return 0, payload, lines
 
 
-def _epsilon_payload(report, extra: dict) -> dict:
-    return {
-        "schema": _SCHEMA,
-        **extra,
-        "grid": [[rz, rw] for rz, rw in report.grid],
-        "values": list(report.values),
-        "min_value": report.min_value,
-        "max_value": report.max_value,
-        "spread": report.spread,
-        "truncation_degree": list(report.truncation_degree),
-        "tail_bound": report.tail_bound,
-        "verdict": constancy_verdict(report.spread),
-    }
-
-
-def _epsilon_lines(report) -> list[str]:
-    return [
-        f"grid points: {len(report.values)}",
-        f"min epsilon: {report.min_value:.12g}",
-        f"max epsilon: {report.max_value:.12g}",
-        f"spread (max-min)/max: {report.spread:.3e}",
-        f"truncation tail bound: {report.tail_bound:.3e}",
-        f"verdict: {constancy_verdict(report.spread)}",
-    ]
-
-
-def _cmd_epsilon_ball(args) -> int:
-    report = epsilon_ball(
-        args.d, args.alpha, args.rmax, args.cap, grid_points=args.grid_points
-    )
-    payload = _epsilon_payload(
-        report, {"d": args.d, "alpha": args.alpha, "rmax": args.rmax, "cap": args.cap}
-    )
-    lines = [f"ball d={args.d} alpha={args.alpha}"] + _epsilon_lines(report)
+def _epsilon(args, title: str, head: dict, report):
+    """Shared by the epsilon subcommands: payload after head, text lines and the CSV."""
+    payload = {**head, "grid": report.grid, "values": report.values,
+               "min_value": report.min_value, "max_value": report.max_value,
+               "spread": report.spread, "truncation_degree": report.truncation_degree,
+               "tail_bound": report.tail_bound, "verdict": constancy_verdict(report.spread)}
+    lines = [title, f"grid points: {len(report.values)}", "min epsilon: {min_value:.12g}",
+             "max epsilon: {max_value:.12g}", "spread (max-min)/max: {spread:.3e}",
+             "truncation tail bound: {tail_bound:.3e}", "verdict: {verdict}"]
     if args.csv:
-        _write_csv(args.csv, report)
-        lines.append(f"csv written: {args.csv}")
-    _emit(args, payload, lines)
-    return 0
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["|z|", "|w|", "epsilon"])
+            for (rz, rw), value in zip(report.grid, report.values):
+                writer.writerow([repr(rz), repr(rw), repr(value)])
+        lines.append("csv written: {csv}")
+    return 0, payload, lines
 
 
-def _cmd_epsilon_hartogs(args) -> int:
+def _cmd_epsilon_ball(args):
+    report = epsilon_ball(args.d, args.alpha, args.rmax, args.cap, grid_points=args.grid_points)
+    head = {"d": args.d, "alpha": args.alpha, "rmax": args.rmax, "cap": args.cap}
+    return _epsilon(args, "ball d={d} alpha={alpha}", head, report)
+
+
+def _cmd_epsilon_hartogs(args):
     nz, nw = args.grid
     grid = DiscGrid(nz=nz, nw=nw, t_max=args.t_max, u_max=args.u_max)
     report = epsilon_hartogs_disc(args.mu, args.alpha, grid=grid, caps=args.caps)
-    payload = _epsilon_payload(
-        report,
-        {
-            "mu": args.mu,
-            "alpha": args.alpha,
-            "grid": f"{nz}x{nw}",
-            "caps": list(args.caps),
-        },
-    )
-    lines = [f"hartogs disc mu={args.mu} alpha={args.alpha}"] + _epsilon_lines(report)
-    if args.csv:
-        _write_csv(args.csv, report)
-        lines.append(f"csv written: {args.csv}")
-    _emit(args, payload, lines)
-    return 0
+    # this payload lists the grid before the caps; _epsilon keeps that position
+    head = {"mu": args.mu, "alpha": args.alpha, "grid": report.grid, "caps": args.caps}
+    return _epsilon(args, "hartogs disc mu={mu} alpha={alpha}", head, report)
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly: one table of (name, handler, help, flags)
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument(
-        "--manifest",
-        action="store_true",
-        help="include tool version, catalog hash and parameters",
-    )
+def _domain(help=None):
+    return "--domain", dict(type=parse_domain, required=True, help=help)
+
+
+def _exact(flag, help="exact p/q"):
+    return flag, dict(type=parse_rational, required=True, help=help)
+
+
+def _dim_cap(help=None):
+    return "--dim-cap", dict(type=int, default=27, help=help)
+
+
+_HARTOGS_FLAGS = [_domain("base domain"), _exact("--mu"), _exact("--alpha")]
+_CSV_FLAG = ("--csv", dict(metavar="PATH"))
+
+_SUBCOMMANDS = [
+    ("catalog", _cmd_catalog, "enumerate the bounded symmetric domains",
+     [_dim_cap("largest dimension kept")]),
+    ("wallach", _cmd_wallach, "discrete points and continuous threshold",
+     [_domain("e.g. I:2,3")]),
+    ("projective", _cmd_projective, "check beta*g_B projectively induced (exit 2 if not)",
+     [_domain(), _exact("--beta")]),
+    ("projective-hartogs", _cmd_projective_hartogs,
+     "check the Hartogs metric projectively induced (exit 2 if not)", _HARTOGS_FLAGS),
+    ("moment", _cmd_moment, "exact moment ratio value at s",
+     [_domain(), _exact("--s", "exact p/q, > -1")]),
+    ("moment-ratio", _cmd_moment_ratio, "factored moment ratio M(s)", [_domain()]),
+    ("balanced-cartan", _cmd_balanced_cartan, "check beta*g_B balanced (exit 2 if not)",
+     [_domain(), _exact("--beta")]),
+    ("balanced-hartogs", _cmd_balanced_hartogs,
+     "check the Hartogs metric balanced (exit 2 if not)", _HARTOGS_FLAGS),
+    ("scan", _cmd_scan, "balancedness verdicts across the catalog", [
+        _dim_cap(),
+        ("--mus", dict(type=_rational_list, help="e.g. 1/2,1,2")),
+        ("--alphas", dict(type=_rational_list, help="e.g. 4,11/2")),
+        ("--extended-alphas",
+         dict(action="store_true", help="add the extra default alpha sample d+17/8")),
+    ]),
+    ("corollary-scan", _cmd_corollary_scan,
+     "canonical weight: induced yet unbalanced (exit 2 on any failure)",
+     [_dim_cap(), ("--alphas", dict(type=_rational_list, help="absolute alpha values"))]),
+    ("immersion", _cmd_immersion, "exact immersion coefficients over a ball", [
+        ("--d", dict(type=int, default=1, help="ball dimension")),
+        _exact("--mu"),
+        _exact("--alpha"),
+        ("--cap", dict(type=int, default=40, help="total degree cutoff")),
+        ("--check-grid", dict(
+            type=_check_grid, metavar="RMAX:N",
+            help="verify the pullback on an N x N sample grid up to radius RMAX")),
+    ]),
+    ("epsilon-ball", _cmd_epsilon_ball, "epsilon function on the ball by quadrature", [
+        ("--d", dict(type=int, choices=(1, 2), default=1)),
+        ("--alpha", dict(type=float, required=True)),
+        ("--rmax", dict(type=float, default=0.9)),
+        ("--cap", dict(type=int, default=200)),
+        ("--grid-points", dict(type=int, default=25)),
+        _CSV_FLAG,
+    ]),
+    ("epsilon-hartogs", _cmd_epsilon_hartogs, "epsilon function on the Hartogs disc domain", [
+        ("--mu", dict(type=float, required=True)),
+        ("--alpha", dict(type=float, required=True)),
+        ("--grid", dict(type=_grid_shape, default=(8, 8), metavar="NZxNW")),
+        ("--caps", dict(type=_caps_pair, default=(80, 80), metavar="CZ,CW")),
+        ("--t-max", dict(type=float, default=0.35)),
+        ("--u-max", dict(type=float, default=0.5)),
+        _CSV_FLAG,
+    ]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,124 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cartanbal {__version__}")
     subs = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-
-    sub = subs.add_parser("catalog", help="enumerate the bounded symmetric domains")
-    sub.add_argument("--dim-cap", type=int, default=27, help="largest dimension kept")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_catalog)
-
-    sub = subs.add_parser("wallach", help="discrete points and continuous threshold")
-    sub.add_argument("--domain", type=parse_domain, required=True, help="e.g. I:2,3")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_wallach)
-
-    sub = subs.add_parser(
-        "projective", help="check beta*g_B projectively induced (exit 2 if not)"
-    )
-    sub.add_argument("--domain", type=parse_domain, required=True)
-    sub.add_argument("--beta", type=parse_rational, required=True, help="exact p/q")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_projective)
-
-    sub = subs.add_parser(
-        "projective-hartogs",
-        help="check the Hartogs metric projectively induced (exit 2 if not)",
-    )
-    sub.add_argument("--domain", type=parse_domain, required=True, help="base domain")
-    sub.add_argument("--mu", type=parse_rational, required=True, help="exact p/q")
-    sub.add_argument("--alpha", type=parse_rational, required=True, help="exact p/q")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_projective_hartogs)
-
-    sub = subs.add_parser("moment", help="exact moment ratio value at s")
-    sub.add_argument("--domain", type=parse_domain, required=True)
-    sub.add_argument("--s", type=parse_rational, required=True, help="exact p/q, > -1")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_moment)
-
-    sub = subs.add_parser("moment-ratio", help="factored moment ratio M(s)")
-    sub.add_argument("--domain", type=parse_domain, required=True)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_moment_ratio)
-
-    sub = subs.add_parser(
-        "balanced-cartan", help="check beta*g_B balanced (exit 2 if not)"
-    )
-    sub.add_argument("--domain", type=parse_domain, required=True)
-    sub.add_argument("--beta", type=parse_rational, required=True, help="exact p/q")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_balanced_cartan)
-
-    sub = subs.add_parser(
-        "balanced-hartogs", help="check the Hartogs metric balanced (exit 2 if not)"
-    )
-    sub.add_argument("--domain", type=parse_domain, required=True, help="base domain")
-    sub.add_argument("--mu", type=parse_rational, required=True, help="exact p/q")
-    sub.add_argument("--alpha", type=parse_rational, required=True, help="exact p/q")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_balanced_hartogs)
-
-    sub = subs.add_parser("scan", help="balancedness verdicts across the catalog")
-    sub.add_argument("--dim-cap", type=int, default=27)
-    sub.add_argument("--mus", type=_rational_list, default=None, help="e.g. 1/2,1,2")
-    sub.add_argument("--alphas", type=_rational_list, default=None, help="e.g. 4,11/2")
-    sub.add_argument(
-        "--extended-alphas",
-        action="store_true",
-        help="add the extra default alpha sample d+17/8",
-    )
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_scan)
-
-    sub = subs.add_parser(
-        "corollary-scan",
-        help="canonical weight: induced yet unbalanced (exit 2 on any failure)",
-    )
-    sub.add_argument("--dim-cap", type=int, default=27)
-    sub.add_argument(
-        "--alphas", type=_rational_list, default=None, help="absolute alpha values"
-    )
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_corollary_scan)
-
-    sub = subs.add_parser("immersion", help="exact immersion coefficients over a ball")
-    sub.add_argument("--d", type=int, default=1, help="ball dimension")
-    sub.add_argument("--mu", type=parse_rational, required=True, help="exact p/q")
-    sub.add_argument("--alpha", type=parse_rational, required=True, help="exact p/q")
-    sub.add_argument("--cap", type=int, default=40, help="total degree cutoff")
-    sub.add_argument(
-        "--check-grid",
-        type=_check_grid,
-        default=None,
-        metavar="RMAX:N",
-        help="verify the pullback on an N x N sample grid up to radius RMAX",
-    )
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_immersion)
-
-    sub = subs.add_parser("epsilon-ball", help="epsilon function on the ball by quadrature")
-    sub.add_argument("--d", type=int, choices=(1, 2), default=1)
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--rmax", type=float, default=0.9)
-    sub.add_argument("--cap", type=int, default=200)
-    sub.add_argument("--grid-points", type=int, default=25)
-    sub.add_argument("--csv", default=None, metavar="PATH")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_epsilon_ball)
-
-    sub = subs.add_parser(
-        "epsilon-hartogs", help="epsilon function on the Hartogs disc domain"
-    )
-    sub.add_argument("--mu", type=float, required=True)
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--grid", type=_grid_shape, default=(8, 8), metavar="NZxNW")
-    sub.add_argument("--caps", type=_caps_pair, default=(80, 80), metavar="CZ,CW")
-    sub.add_argument("--t-max", type=float, default=0.35)
-    sub.add_argument("--u-max", type=float, default=0.5)
-    sub.add_argument("--csv", default=None, metavar="PATH")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_epsilon_hartogs)
-
+    for name, handler, help_text, flags in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flag, spec in flags:
+            sub.add_argument(flag, **spec)
+        sub.add_argument("--json", action="store_true", help="machine-readable output")
+        sub.add_argument(
+            "--manifest",
+            action="store_true",
+            help="include tool version, catalog hash and parameters",
+        )
+        sub.set_defaults(func=handler)
     return parser
 
 
@@ -676,10 +479,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
     except (CartanbalError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _render(args, payload, lines)
+    return code
 
 
 if __name__ == "__main__":

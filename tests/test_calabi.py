@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -144,6 +145,22 @@ def test_pullback_two_dimensional_base():
     ]
     check = verify_pullback(coeffs, samples)
     assert check.max_rel_error < 1e-8
+    assert check.max_rel_error <= check.tail_bound + 1e-13
+
+
+def test_pullback_memory_is_bounded_per_fiber_power():
+    # one dense array over (*mz, mw) held (cap+1)^(d+1) floats: ~10 MB here
+    # and ~0.93 GB at d=4, cap 40; one mw slice at a time keeps ~1 MB here
+    spec = HartogsSpec(ball(3), F(3, 2), F(5))
+    coeffs = build_immersion(spec, 30)
+    samples = [((0.1 * k, 0.05, 0.0), 0.08 * k) for k in range(5)]
+    tracemalloc.start()
+    try:
+        check = verify_pullback(coeffs, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
     assert check.max_rel_error <= check.tail_bound + 1e-13
 
 

@@ -1,14 +1,17 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import pathlib
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cartanbal.cli import catalog_hash, main
+from cartanbal.cli import build_parser, catalog_hash, main
 from cartanbal.exactnum import FactoredRational
 
 
@@ -383,3 +386,152 @@ def test_main_fuzz_exit_contract(argv, tmp_path_factory):
         os.chdir(here)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def test_every_subcommand_is_fuzzed_and_golden():
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(_FUZZ_COMMANDS)
+    assert set(_FUZZ_COMMANDS) <= {argv[0] for argv in _GOLDEN_EXACT + _GOLDEN_NUMERIC}
+
+
+# Golden CLI output, recorded by running this file as a script (see the end).
+# Exact cases and --help compare stdout, stderr and exit code byte for byte.
+# Numeric cases compare exit code and stderr byte for byte, JSON key order and
+# the text of each line with its numbers masked, and every number to 1e-12
+# relative; roundoff-level values such as max_rel_error get an absolute floor
+# of 1e-12, so BLAS summation order cannot break the test.
+_GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
+_GOLDEN_MODES = ((), ("--json",), ("--manifest",), ("--json", "--manifest"))
+_GOLDEN_EXACT = (
+    ("catalog", "--dim-cap", "6"),
+    ("wallach", "--domain", "I:2,2"),
+    ("wallach", "--domain", "IV:5"),
+    ("projective", "--domain", "I:2,2", "--beta", "1/2"),
+    ("projective", "--domain", "I:2,2", "--beta", "1/8"),
+    ("projective-hartogs", "--domain", "I:2,2", "--mu", "4/5", "--alpha", "3"),
+    ("projective-hartogs", "--domain", "I:2,2", "--mu", "4/5", "--alpha", "1/4"),
+    ("moment", "--domain", "IV:4", "--s", "1/2"),
+    ("moment", "--domain", "I:1,1", "--s=-1/2"),
+    ("moment", "--domain", "I:1,1", "--s", "-2"),
+    ("moment-ratio", "--domain", "IV:4"),
+    ("moment-ratio", "--domain", "I:2,3"),
+    ("balanced-cartan", "--domain", "II:3", "--beta", "3/4"),
+    ("balanced-cartan", "--domain", "II:3", "--beta", "4/5"),
+    ("balanced-hartogs", "--domain", "I:1,1", "--mu", "1", "--alpha", "4"),
+    ("balanced-hartogs", "--domain", "I:1,1", "--mu", "2", "--alpha", "4"),
+    ("balanced-hartogs", "--domain", "I:1,1", "--mu", "1", "--alpha", "2"),
+    ("balanced-hartogs", "--domain", "I:2,2", "--mu", "1/3", "--alpha", "6"),
+    ("balanced-hartogs", "--domain", "I:1,1", "--mu", "0", "--alpha", "4"),
+    ("scan", "--dim-cap", "4"),
+    ("scan", "--dim-cap", "2", "--mus", "1,2", "--alphas", "4,11/2", "--extended-alphas"),
+    ("corollary-scan", "--dim-cap", "6"),
+    ("corollary-scan", "--dim-cap", "4", "--alphas", "4,11/2"),
+    ("immersion", "--d", "2", "--mu", "3/2", "--alpha", "4", "--cap", "6"),
+    ("wallach", "--domain", "IX:1"),
+    ("projective", "--domain", "I:2,2", "--beta", "junk"),
+    ("no-such-command",),
+)
+_GOLDEN_NUMERIC = (
+    ("immersion", "--mu", "1", "--alpha", "3", "--cap", "12", "--check-grid", "0.4:3"),
+    ("immersion", "--d", "2", "--mu", "2", "--alpha", "5", "--cap", "8", "--check-grid", "0.3:2"),
+    ("epsilon-ball", "--alpha", "3", "--rmax", "0.5", "--cap", "30", "--grid-points", "4", "--csv", "eps.csv"),
+    ("epsilon-ball", "--d", "2", "--alpha", "4", "--cap", "20", "--grid-points", "3"),
+    ("epsilon-ball", "--alpha", "0.5", "--cap", "10"),
+    ("epsilon-hartogs", "--mu", "2", "--alpha", "4", "--grid", "2x2", "--caps", "12,12", "--csv", "eps.csv"),
+    ("epsilon-hartogs", "--mu", "1", "--alpha", "3", "--grid", "2x3", "--caps", "12,12"),
+    ("epsilon-hartogs", "--mu", "nan", "--alpha", "3", "--grid", "2x2", "--caps", "4,4"),
+)
+_GOLDEN_HELP = ((), ("--help",), ("--version",)) + tuple((name, "--help") for name in sorted(_FUZZ_COMMANDS))
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def _golden_battery():
+    exact = [case + mode for case in _GOLDEN_EXACT for mode in _GOLDEN_MODES]
+    numeric = [case + mode for case in _GOLDEN_NUMERIC for mode in _GOLDEN_MODES]
+    return exact + [list(argv) for argv in _GOLDEN_HELP], numeric
+
+
+def _capture(argv) -> dict:
+    """Run main in-process; the working directory receives any --csv file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    record = {"argv": list(argv), "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    if "--csv" in argv and os.path.exists("eps.csv"):
+        with open("eps.csv") as fh:
+            record["csv"] = fh.read()
+        os.remove("eps.csv")
+    return record
+
+
+def _close(got: str, want: str) -> bool:
+    return math.isclose(float(got), float(want), rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _same_json(got, want, where: str) -> None:
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_json(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and _close(got, want), (where, got, want)
+    else:
+        assert got == want and type(got) is type(want), (where, got, want)
+
+
+def _same_lines(got: str, want: str, where: str) -> None:
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines), where
+    for g, w in zip(got_lines, want_lines):
+        assert _NUMBER.sub("#", g) == _NUMBER.sub("#", w), (where, g, w)
+        # printed values carry 4 to 12 significant digits
+        pairs = zip(_NUMBER.findall(g), _NUMBER.findall(w))
+        assert all(
+            math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-12) for a, b in pairs
+        ), (where, g, w)
+
+
+def test_cli_golden_output(monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(_GOLDEN_PATH.read_text())
+    exact, numeric = _golden_battery()
+    assert [r["argv"] for r in golden["exact"]] == [list(a) for a in exact]
+    assert [r["argv"] for r in golden["numeric"]] == [list(a) for a in numeric]
+    for want in golden["exact"]:
+        assert _capture(want["argv"]) == want
+    for want in golden["numeric"]:
+        got = _capture(want["argv"])
+        where = " ".join(want["argv"])
+        assert (got["code"], got["stderr"], "csv" in got) == (
+            want["code"], want["stderr"], "csv" in want
+        ), where
+        if "--json" in want["argv"] and want["code"] != 1:
+            _same_json(json.loads(got["stdout"]), json.loads(want["stdout"]), where)
+        else:
+            _same_lines(got["stdout"], want["stdout"], where)
+        if "csv" in want:
+            _same_lines(got["csv"], want["csv"], where + " (csv)")
+
+
+if __name__ == "__main__":
+    # Regenerate the golden file: PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+
+    os.environ["COLUMNS"] = "80"
+    exact, numeric = _golden_battery()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        golden = {
+            "exact": [_capture(argv) for argv in exact],
+            "numeric": [_capture(argv) for argv in numeric],
+        }
+        os.chdir(here)
+    _GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    _GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
