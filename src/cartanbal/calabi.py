@@ -48,6 +48,15 @@ __all__ = [
 ]
 
 
+_MAX_ENTRIES = 200_000  # exact entries of one build_immersion
+
+
+def _check_size(name: str, value, count: int, unit: str, limit: int) -> None:
+    """ValueError naming the parameter when a request needs more than limit units."""
+    if count > limit:
+        raise ValueError(f"{name}={value} needs {count:,} {unit}, over the limit of {limit:,}")
+
+
 def multi_index_enumerate(dim: int, degree_cap: int) -> list[tuple[int, ...]]:
     """All multi-indices of length dim with total degree <= degree_cap.
 
@@ -146,6 +155,8 @@ def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
     d = spec.base.dim
+    count = math.comb(degree_cap + d + 1, d + 1)
+    _check_size("degree_cap", degree_cap, count, "entries", _MAX_ENTRIES)
     entries: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for mw in range(degree_cap + 1):
         weight = rising(spec.alpha, mw) / math.factorial(mw)

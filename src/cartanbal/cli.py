@@ -46,7 +46,7 @@ from .balanced import (
 )
 from .calabi import build_immersion, verify_pullback
 from .catalog import CartanDomain, ball, enumerate_catalog, parse_domain
-from .epsilon import DiscGrid, constancy_verdict, epsilon_ball, epsilon_hartogs_disc
+from .epsilon import DiscGrid, epsilon_ball, epsilon_hartogs_disc
 from .errors import CartanbalError
 from .exactnum import parse_rational
 from .moments import moment_converges, moment_ratio
@@ -339,7 +339,7 @@ def _epsilon(args, title: str, head: dict, report):
     payload = {**head, "grid": report.grid, "values": report.values,
                "min_value": report.min_value, "max_value": report.max_value,
                "spread": report.spread, "truncation_degree": report.truncation_degree,
-               "tail_bound": report.tail_bound, "verdict": constancy_verdict(report.spread)}
+               "tail_bound": report.tail_bound, "verdict": report.verdict}
     lines = [title, f"grid points: {len(report.values)}", "min epsilon: {min_value:.12g}",
              "max epsilon: {max_value:.12g}", "spread (max-min)/max: {spread:.3e}",
              "truncation tail bound: {tail_bound:.3e}", "verdict: {verdict}"]

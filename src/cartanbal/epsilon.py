@@ -39,20 +39,27 @@ Each sum is a power sum in the squared moduli, with coefficients the dense
 inverse-norm array that each norms object derives once; calabi._power_sum
 evaluates it at one point, on a whole grid, and on the ball's tail slice.
 Constancy of epsilon over a grid is the numerical signature of balancedness:
-spread below 1e-5 reads as constant, above 1e-3 as non-constant, and the gap
-between them is treated as inconclusive (callers fail loudly on it).
+constancy_verdict reads a spread below 1e-5 as constant, above 1e-3 as
+non-constant, and between them as inconclusive.  Omitted terms are positive,
+so with the absolute tail bound T each true value lies in [v, v + T];
+EpsilonReport.verdict is inconclusive unless the spread moved by T / max
+either way reads the same.  The Hartogs tail bound is one array expression
+over (grid points x fiber powers).  Sizes (norms, grid points, evaluation
+arrays) are checked against module limits before any quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betaln, xlogy
 
-from .calabi import _as_point, _dense, _power_sum, multi_index_enumerate
+from .calabi import _as_point, _check_size, _dense, _power_sum, multi_index_enumerate
 from .errors import (
     QuadratureFailureError,
     SampleOutsideDomainError,
@@ -79,6 +86,11 @@ SPREAD_NONCONSTANT = 1e-3
 
 _EPSREL_D1 = 1e-12
 _EPSREL_D2 = 1e-10
+
+# size limits, each checked before any quadrature or allocation
+_MAX_NORMS = 25_000  # norms of one setting
+_MAX_GRID_POINTS = 10_000
+_MAX_GRID_CELLS = 2_000_000  # grid points x (largest cap + 2): one evaluation array
 
 
 @dataclass(frozen=True)
@@ -116,6 +128,13 @@ def _require_convergent(norms: WeightedBasisNorms) -> None:
 
 @dataclass(frozen=True)
 class EpsilonReport:
+    """Truncated epsilon on a grid; tail_bound is absolute and holds at every point.
+
+    Every omitted term is positive, so each true value lies in [v, v + tail_bound].
+    verdict applies constancy_verdict to the spread moved by tail_bound / max_value
+    either way, and is "inconclusive" unless both agree (always so for an infinite tail).
+    """
+
     grid: tuple  # (|z|, |w|) pairs; |w| = 0 for ball settings
     values: tuple
     min_value: float
@@ -123,6 +142,12 @@ class EpsilonReport:
     spread: float  # (max - min) / max
     truncation_degree: tuple
     tail_bound: float
+
+    @property
+    def verdict(self) -> str:
+        slack = self.tail_bound / self.max_value
+        low = constancy_verdict(self.spread - slack)
+        return low if low == constancy_verdict(self.spread + slack) else "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -147,6 +172,7 @@ class DiscGrid:
             raise SampleOutsideDomainError(
                 "grid bounds must satisfy 0 <= t_max < 1 and 0 <= u_max < 1"
             )
+        _check_size("grid", f"{self.nz}x{self.nw}", self.nz * self.nw, "points", _MAX_GRID_POINTS)
 
 
 def _report(grid, values: np.ndarray, caps: tuple, tail: float) -> EpsilonReport:
@@ -216,6 +242,8 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
         raise ValueError(f"alpha must be finite, got {alpha}")
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
+    count = degree_cap + 1 if d == 1 else math.comb(degree_cap + 2, 2)
+    _check_size("degree_cap", degree_cap, count, "norms", _MAX_NORMS)
     if alpha <= d:
         return WeightedBasisNorms("ball", (d, alpha), {}, True, 0.0)
     epsrel = _EPSREL_D1 if d == 1 else _EPSREL_D2
@@ -228,9 +256,7 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
             norms[m] = math.pi * value
             worst = max(worst, math.pi * err)
     else:
-        radial: dict[int, tuple[float, float]] = {}
-        for n in range(degree_cap + 1):
-            radial[n] = _beta_like_integral(n + 1, e, epsrel)
+        radial = [_beta_like_integral(n + 1, e, epsrel) for n in range(degree_cap + 1)]
         for idx in multi_index_enumerate(2, degree_cap):
             m1, m2 = idx
             ang, ang_err = _beta_like_integral(m1, float(m2), epsrel)
@@ -251,9 +277,7 @@ def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
     return (1.0 - t) ** alpha * float(_power_sum(norms._inverse, [moduli])[0])
 
 
-@lru_cache(maxsize=16)
-def _ball_norms_cached(d: int, alpha: float, degree_cap: int) -> WeightedBasisNorms:
-    return ball_monomial_norms(d, alpha, degree_cap)
+_ball_norms_cached = lru_cache(maxsize=16)(ball_monomial_norms)
 
 
 def epsilon_ball(
@@ -272,6 +296,9 @@ def epsilon_ball(
         raise SampleOutsideDomainError(f"grid_rmax must lie in (0, 1), got {grid_rmax}")
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    _check_size("grid_points", grid_points, grid_points, "points", _MAX_GRID_POINTS)
+    cells = grid_points * (degree_cap + 2)
+    _check_size("degree_cap", degree_cap, cells, f"cells on {grid_points} points", _MAX_GRID_CELLS)
     norms = _ball_norms_cached(d, alpha, degree_cap)
     _require_convergent(norms)
     radii = np.linspace(0.0, grid_rmax, grid_points)
@@ -302,8 +329,7 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     The divergence thresholds are exact: the u integral needs alpha > 2 and
     the t integral needs mu(alpha+m) > 1 for all m >= 0, i.e. alpha*mu > 1.
     """
-    mu = float(mu)
-    alpha = float(alpha)
+    mu, alpha = float(mu), float(alpha)
     cap_z, cap_w = caps
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be finite and positive, got {mu}")
@@ -311,15 +337,13 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
         raise ValueError(f"alpha must be finite, got {alpha}")
     if cap_z < 0 or cap_w < 0:
         raise ValueError(f"caps must be nonnegative, got {caps}")
+    _check_size("caps", (cap_z, cap_w), (cap_z + 1) * (cap_w + 1), "norms", _MAX_NORMS)
     if alpha <= 2 or alpha * mu <= 1:
         return WeightedBasisNorms("hartogs-disc", (mu, alpha), {}, True, 0.0)
-    fiber: dict[int, tuple[float, float]] = {}
-    for m in range(cap_w + 1):
-        fiber[m] = _beta_like_integral(m, alpha - 3.0, _EPSREL_D2)
     norms: dict = {}
     worst = 0.0
     for m in range(cap_w + 1):
-        fib, fib_err = fiber[m]
+        fib, fib_err = _beta_like_integral(m, alpha - 3.0, _EPSREL_D2)
         e = mu * (alpha + m) - 2.0
         for j in range(cap_z + 1):
             base, base_err = _beta_like_integral(j, e, _EPSREL_D2)
@@ -328,9 +352,7 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     return WeightedBasisNorms("hartogs-disc", (mu, alpha), norms, False, worst)
 
 
-@lru_cache(maxsize=8)
-def _hartogs_norms_cached(mu: float, alpha: float, caps: tuple[int, int]):
-    return hartogs_disc_norms(mu, alpha, caps)
+_hartogs_norms_cached = lru_cache(maxsize=8)(hartogs_disc_norms)
 
 
 def epsilon_point_hartogs(norms: WeightedBasisNorms, z, w) -> float:
@@ -350,84 +372,49 @@ def epsilon_hartogs_disc(
     mu, alpha, grid: DiscGrid | None = None, caps: tuple[int, int] = (80, 80)
 ) -> EpsilonReport:
     """epsilon over an interior grid of the Hartogs disc domain."""
-    if grid is None:
-        grid = DiscGrid()
+    grid = grid or DiscGrid()
+    caps = tuple(map(operator.index, caps))
+    cells = grid.nz * grid.nw * (max(caps) + 2)
+    _check_size("caps", caps, cells, f"cells on a {grid.nz}x{grid.nw} grid", _MAX_GRID_CELLS)
     norms = _hartogs_norms_cached(float(mu), float(alpha), caps)
     _require_convergent(norms)
     mu, alpha = norms.params
-    t, u = np.meshgrid(
-        np.linspace(0.0, grid.t_max, grid.nz),
-        np.linspace(0.0, grid.u_max, grid.nw),
-        indexing="ij",
-    )
-    n_mu = (1.0 - t.ravel()) ** mu
-    bases = np.column_stack([t.ravel(), u.ravel() * n_mu])
+    if (1.0 - grid.t_max) ** mu == 0.0:
+        raise SampleOutsideDomainError(f"(1-t_max)^mu is 0 in floats: t_max={grid.t_max}, mu={mu}")
+    t = np.repeat(np.linspace(0.0, grid.t_max, grid.nz), grid.nw)  # row-major nz x nw grid
+    n_mu = (1.0 - t) ** mu
+    bases = np.column_stack([t, np.tile(np.linspace(0.0, grid.u_max, grid.nw), grid.nz) * n_mu])
     values = (n_mu - bases[:, 1]) ** alpha * _power_sum(norms._inverse, bases)
-    tail = max(_hartogs_tail_bound(tp, yp, mu, alpha, *caps) for tp, yp in bases.tolist())
+    tail = _hartogs_tail_bound(bases[:, 0], bases[:, 1], mu, alpha, *caps)
     return _report(map(tuple, np.sqrt(bases).tolist()), values, caps, tail)
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+def _hartogs_tail_bound(t, y, mu: float, alpha: float, cap_z: int, cap_w: int) -> float:
+    """Largest absolute bound on the epsilon truncation error over the points (t, y).
 
+    Terms are a(j, m) = t^j y^m / (pi^2 B(m+1, alpha-2) B(j+1, c_m)), c_m = mu(alpha+m) - 1.
+    One (points x fiber powers 0..cap_w+1) array holds one piece per column:
 
-def _hartogs_tail_bound(
-    t: float, y: float, mu: float, alpha: float, cap_z: int, cap_w: int
-) -> float:
-    """Bound on the epsilon truncation error at (t, y), from exact Beta norms.
+    * m <= cap_w: the j tail past cap_z, geometric with ratio t (j+1+c_m)/(j+1),
+      decreasing in j; if that ratio is >= 1 at j = cap_z+1, the whole j sum
+      c_m (1-t)^(-c_m-1) instead (Newton's binomial series);
+    * m = cap_w+1: the full j sums b_m = y^m c_m (1-t)^(-c_m-1) / (pi^2 B(m+1, alpha-2))
+      of all m > cap_w, geometric with the decreasing ratio
+      (y/(1-t)^mu) (m+alpha-1)/(m+1) * c_(m+1)/c_m, or inf if that is >= 1.
 
-    Terms are a(j, m) = t^j y^m / (pi^2 B(m+1, alpha-2) B(j+1, c_m)) with
-    c_m = mu(alpha+m) - 1.  Two pieces cover j > cap_z or m > cap_w:
-
-    * for each m <= cap_w, the j tail is geometric with ratio
-      t (j+1+c_m)/(j+1), decreasing in j; if that ratio is >= 1 at
-      j = cap_z+1 the whole j sum is bounded instead by its closed form
-      c_m (1-t)^(-c_m-1) (Newton's binomial series);
-    * for m > cap_w the full j sums b_m = y^m c_m (1-t)^(-c_m-1) /
-      (pi^2 B(m+1, alpha-2)) decay with ratio
-      (y/(1-t)^mu) (m+alpha-1)/(m+1) * c_(m+1)/c_m, also decreasing.
-
-    The result is multiplied by the weight prefactor, giving an absolute
-    bound on the truncated epsilon value.
+    Pieces are formed in logs with the weight ((1-t)^mu - y)^alpha folded in;
+    xlogy gives 0 log 0 = 0, so t = 0 and y = 0 need no special case.
     """
-    log_t = -math.inf if t == 0 else math.log(t)
-    log_y = -math.inf if y == 0 else math.log(y)
-    log_pi2 = 2 * math.log(math.pi)
-    one_m_t = 1.0 - t
-
-    def j_tail(m: int) -> float:
-        c = mu * (alpha + m) - 1.0
-        full = c * one_m_t ** (-c - 1.0)
-        if t == 0.0:
-            return 0.0
-        ratio = t * (cap_z + 2 + c) / (cap_z + 2)
-        if ratio >= 1.0:
-            return full
-        log_first = (cap_z + 1) * log_t - _log_beta(cap_z + 2, c)
-        return math.exp(log_first) / (1.0 - ratio)
-
-    def w_weight_log(m: int) -> float:
-        return m * log_y - _log_beta(m + 1, alpha - 2.0) - log_pi2
-
-    pieces = []
-    for m in range(cap_w + 1):
-        if y == 0.0 and m > 0:
-            break
-        weight = math.exp(w_weight_log(m)) if m > 0 or y > 0 else 1.0 / math.exp(
-            _log_beta(1, alpha - 2.0) + log_pi2
-        )
-        pieces.append(weight * j_tail(m))
-    if y > 0.0:
-        m1 = cap_w + 1
-        c1 = mu * (alpha + m1) - 1.0
-        b1 = math.exp(w_weight_log(m1)) * c1 * one_m_t ** (-c1 - 1.0)
-        ratio = (
-            (y / one_m_t**mu)
-            * (m1 + alpha - 1.0)
-            / (m1 + 1.0)
-            * (mu * (alpha + m1 + 1) - 1.0)
-            / c1
-        )
-        pieces.append(math.inf if ratio >= 1.0 else b1 / (1.0 - ratio))
-    weight_prefactor = (one_m_t**mu - y) ** alpha
-    return weight_prefactor * math.fsum(pieces)
+    t, y = t[:, None], y[:, None]
+    m = np.arange(cap_w + 2.0)
+    c = mu * (alpha + m) - 1.0
+    fiber = m > cap_w
+    log_weight = xlogy(alpha, (1.0 - t) ** mu - y) - 2.0 * math.log(math.pi)
+    log_w = log_weight + xlogy(m, y) - betaln(m + 1.0, alpha - 2.0)
+    log_full = log_w + np.log(c) - (c + 1.0) * np.log1p(-t)
+    fiber_ratio = y / (1.0 - t) ** mu * (m + alpha - 1.0) / (m + 1.0) * (c + mu) / c
+    ratio = np.where(fiber, fiber_ratio, t * (cap_z + 2 + c) / (cap_z + 2))
+    log_first = np.where(fiber, log_full, log_w + xlogy(cap_z + 1, t) - betaln(cap_z + 2, c))
+    log_rest = np.log1p(-ratio, out=np.zeros(ratio.shape), where=ratio < 1.0)
+    log_piece = np.where(ratio < 1.0, log_first - log_rest, np.where(fiber, np.inf, log_full))
+    return float(np.exp(log_piece).sum(axis=1).max())

@@ -113,6 +113,13 @@ def test_immersion_rejects_negative_cap():
         build_immersion(HartogsSpec(ball(1), F(1), F(3)), -1)
 
 
+def test_immersion_rejects_oversized_cap():
+    # C(cap+d+1, d+1) entries: ball(3) at cap 30 has 46,376, at cap 60 635,376
+    assert len(build_immersion(HartogsSpec(ball(3), F(1), F(5)), 30).entries) == 46_376
+    with pytest.raises(ValueError, match="degree_cap"):
+        build_immersion(HartogsSpec(ball(3), F(1), F(5)), 60)
+
+
 def test_pullback_disc():
     spec = HartogsSpec(ball(1), F(1), F(3))
     coeffs = build_immersion(spec, 60)

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -305,6 +306,14 @@ def test_epsilon_ball_needs_grid_points(capsys):
         code, _, err = run(capsys, "epsilon-ball", "--alpha", "3", "--cap", "10", "--grid-points", points)
         assert code == 1
         assert "grid_points" in err
+
+
+def test_oversized_caps_are_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "epsilon-hartogs", "--mu", "1", "--alpha", "3", "--caps", "2000,2000")
+    assert code == 1
+    assert "caps" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_csv_write_failure_is_an_error(tmp_path, capsys):

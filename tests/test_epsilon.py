@@ -12,6 +12,7 @@ from cartanbal.epsilon import (
     SPREAD_CONSTANT,
     SPREAD_NONCONSTANT,
     DiscGrid,
+    EpsilonReport,
     ball_monomial_norms,
     constancy_verdict,
     epsilon_ball,
@@ -275,13 +276,39 @@ def test_epsilon_hartogs_unbalanced_case_spread():
     assert constancy_verdict(report.spread) == "non-constant"
 
 
-def test_epsilon_hartogs_truncation_stability():
-    grid = DiscGrid(nz=4, nw=4, t_max=0.3, u_max=0.4)
-    r1 = epsilon_hartogs_disc(1.5, 3.5, grid=grid, caps=(50, 50))
-    r2 = epsilon_hartogs_disc(1.5, 3.5, grid=grid, caps=(60, 60))
-    allowance = r1.tail_bound + r2.tail_bound + 1e-12
-    for v1, v2 in zip(r1.values, r2.values):
-        assert abs(v1 - v2) <= allowance
+_STABILITY_GRID = DiscGrid(nz=4, nw=4, t_max=0.3, u_max=0.4)
+
+
+def _assert_tail_covers(small, big):
+    # every omitted term is positive: 0 <= v_big - v_small <= epsilon - v_small <= tail_small
+    for v_small, v_big in zip(small.values, big.values):
+        assert -1e-12 * big.max_value <= v_big - v_small <= small.tail_bound * (1 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "mu, alpha, grid, caps",
+    [pytest.param(1.5, 3.5, _STABILITY_GRID, (50, 50), id="mu1.5-50x50")]
+    + [
+        pytest.param(mu, 3.5, _STABILITY_GRID, caps, id=f"mu{mu}-{caps[0]}x{caps[1]}")
+        for mu in (1.0, 2.0, 0.5)
+        for caps in ((12, 12), (20, 4), (4, 20), (2, 2))
+    ]
+    + [pytest.param(2.0, 4.0, DiscGrid(5, 5, 0.9, 0.95), (3, 5), id="infinite-tail")],
+)
+def test_epsilon_hartogs_truncation_stability(mu, alpha, grid, caps):
+    small = epsilon_hartogs_disc(mu, alpha, grid=grid, caps=caps)
+    big = epsilon_hartogs_disc(mu, alpha, grid=grid, caps=(60, 60))
+    _assert_tail_covers(small, big)
+    if grid.t_max == 0.9:
+        assert small.tail_bound == math.inf and small.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("d, alpha, big_cap", [(1, 3.5, 200), (2, 4.5, 100)])
+@pytest.mark.parametrize("cap", [5, 10, 20])
+def test_epsilon_ball_tail_bound_covers_truncation(d, alpha, big_cap, cap):
+    small = epsilon_ball(d, alpha, 0.6, cap, grid_points=7)
+    big = epsilon_ball(d, alpha, 0.6, big_cap, grid_points=7)
+    _assert_tail_covers(small, big)
 
 
 def test_epsilon_point_hartogs_rotation_invariant():
@@ -304,6 +331,35 @@ def test_grid_validation():
     grid = DiscGrid(nz=3, nw=2, t_max=0.2, u_max=0.3)
     report = epsilon_hartogs_disc(1.0, 4.0, grid=grid, caps=(40, 40))
     assert len(report.values) == 6
+    # the fiber over t_max is empty in floating point
+    with pytest.raises(SampleOutsideDomainError, match="t_max"):
+        epsilon_hartogs_disc(300.0, 4.0, grid=DiscGrid(3, 3, 0.999, 0.5), caps=(6, 6))
+
+
+def test_caps_may_be_any_int_pair():
+    report = epsilon_hartogs_disc(1.0, 4.0, grid=DiscGrid(2, 2), caps=[4, 4])
+    assert report.truncation_degree == (4, 4)
+
+
+def test_size_limits_name_the_parameter():
+    # each is refused before any quadrature runs
+    with pytest.raises(ValueError, match="caps"):
+        hartogs_disc_norms(1.0, 3.0, (2000, 2000))
+    with pytest.raises(ValueError, match="caps"):
+        epsilon_hartogs_disc(1.0, 3.0, grid=DiscGrid(100, 100), caps=(0, 24000))
+    with pytest.raises(ValueError, match="degree_cap"):
+        ball_monomial_norms(1, 3.0, 25_000)
+    with pytest.raises(ValueError, match="degree_cap"):
+        ball_monomial_norms(2, 3.0, 300)
+    with pytest.raises(ValueError, match="grid"):
+        DiscGrid(101, 100)
+    with pytest.raises(ValueError, match="grid_points"):
+        epsilon_ball(1, 3.0, 0.5, 20, grid_points=10_001)
+    # sizes at the limits pass the checks (divergent weights skip the quadrature)
+    assert ball_monomial_norms(1, 1.0, 24_999).divergent
+    assert ball_monomial_norms(2, 2.0, 222).divergent  # 24,976 norms
+    assert hartogs_disc_norms(1.0, 2.0, (157, 157)).divergent  # 24,964 norms
+    assert DiscGrid(100, 100).nz == 100
 
 
 def test_quadrature_error_is_tracked():
@@ -311,6 +367,23 @@ def test_quadrature_error_is_tracked():
     assert 0 < norms.quadrature_error < 1e-10
     hn = hartogs_disc_norms(1.0, 4.0, (6, 6))
     assert 0 < hn.quadrature_error < 1e-8
+
+
+def test_report_verdict_respects_tail_bound():
+    def report(spread, tail):
+        return EpsilonReport(((0.0, 0.0),), (1.0,), 1.0 - spread, 1.0, spread, (4,), tail)
+
+    # a tail that covers the spread leaves the verdict open
+    assert constancy_verdict(8.5e-3) == "non-constant"
+    assert report(8.5e-3, 8.8e-3).verdict == "inconclusive"
+    assert report(8.5e-3, 1e-4).verdict == "non-constant"
+    assert report(1e-7, 1e-6).verdict == "constant"
+    # an infinite tail is never decisive
+    for spread in (0.0, 5e-4, 0.5):
+        assert report(spread, math.inf).verdict == "inconclusive"
+    # a zero tail changes nothing
+    for spread in (0.0, 9e-6, 5e-4, 2e-3, 0.3):
+        assert report(spread, 0.0).verdict == constancy_verdict(spread)
 
 
 def test_verdict_thresholds():
