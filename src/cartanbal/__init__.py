@@ -5,7 +5,7 @@ Bergman metrics on the bounded symmetric (Cartan) domains and the canonical
 metrics on the Hartogs domains built over them are balanced or projectively
 induced, and backs the symbolic verdicts with independent numeric evidence
 (power-series immersions checked against closed forms, and epsilon-function
-evaluation by quadrature on the rank-one cases).
+evaluation from closed-form Beta norms on the rank-one cases).
 """
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ from .errors import (
     NonpositiveParameterError,
     PoleError,
     PreconditionError,
-    QuadratureFailureError,
     SampleOutsideDomainError,
     TrivialSpaceError,
 )
@@ -151,5 +150,4 @@ __all__ = [
     "InternalConsistencyError",
     "SampleOutsideDomainError",
     "TrivialSpaceError",
-    "QuadratureFailureError",
 ]

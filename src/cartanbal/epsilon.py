@@ -1,6 +1,6 @@
-"""Numerical epsilon-function evaluation on rank-one domains by quadrature.
+"""Numerical epsilon-function evaluation on rank-one domains from closed-form norms.
 
-Squared monomial norms are computed against the plain Euclidean volume form
+Squared monomial norms are taken against the plain Euclidean volume form
 on coordinates (so all constants below are tied to that normalization):
 
   ball(d), d in {1, 2}:   ||z^m||^2 = int (1-|z|^2)^(alpha-(d+1)) |z^m|^2 dV
@@ -9,20 +9,20 @@ on coordinates (so all constants below are tied to that normalization):
       N = 1 - |z|^2, over {|z| < 1, |w|^2 < N^mu}.
 
 Angular integration is exact (monomials are orthogonal; tests spot-check the
-cross terms by quadrature), which reduces every norm to iterated 1D radial
+cross terms by quadrature), which reduces every norm to iterated radial
 integrals in t = |z|^2 and rho = |w|^2.  The Hartogs fiber variable is
 normalized by rho = N^mu * u, which maps the fiber integral to a fixed Beta
-integral in u and leaves a pure power of N for the base integral; this
-substitution is the variable change that also regularizes the boundary
-singularity.  Integrands with an endpoint factor (1-t)^e, e in (-1, 0), are
-regularized by the substitution s = (1-t)^(1+e), after which the integrand
-is bounded.
+integral in u and leaves a pure power of N for the base integral.  Every
+radial integral is then int_0^1 t^p (1-t)^e dt = B(p+1, e+1), so each norm
+is pi^k times a product of Beta values:
 
-Quadrature targets are relative (epsrel 1e-12 for d=1, 1e-10 for d=2 and
-Hartogs): the epsilon sums divide monomial values by norms whose magnitudes
-span many orders across the degree range, so relative accuracy per norm is
-what the constancy spreads require; for norms of order one this is at least
-as strict as the same figure read as an absolute target.
+  ball(1):       pi   B(m+1, alpha-1)
+  ball(2):       pi^2 B(m1+1, m2+1) B(m1+m2+2, alpha-2)
+  Hartogs disc:  pi^2 B(m+1, alpha-2) B(j+1, mu(alpha+m)-1)
+
+Each setting's norms are one array expression in scipy.special.betaln.  The
+tests check them against nested adaptive quadrature of the unfactorised
+integrals and against high-precision Beta values.
 
 Divergent norms are never reported as numbers.  Each setting tests its exact
 integrability threshold once, where its norms are built (alpha > d for the
@@ -45,7 +45,7 @@ so with the absolute tail bound T each true value lies in [v, v + T];
 EpsilonReport.verdict is inconclusive unless the spread moved by T / max
 either way reads the same.  The Hartogs tail bound is one array expression
 over (grid points x fiber powers).  Sizes (norms, grid points, evaluation
-arrays) are checked against module limits before any quadrature.
+arrays) are checked against module limits before any norm is built.
 """
 
 from __future__ import annotations
@@ -53,18 +53,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betaln, xlogy
 
 from .calabi import _as_point, _check_size, _dense, _power_sum, multi_index_enumerate
-from .errors import (
-    QuadratureFailureError,
-    SampleOutsideDomainError,
-    TrivialSpaceError,
-)
+from .errors import SampleOutsideDomainError, TrivialSpaceError
 
 __all__ = [
     "WeightedBasisNorms",
@@ -84,10 +79,7 @@ __all__ = [
 SPREAD_CONSTANT = 1e-5
 SPREAD_NONCONSTANT = 1e-3
 
-_EPSREL_D1 = 1e-12
-_EPSREL_D2 = 1e-10
-
-# size limits, each checked before any quadrature or allocation
+# size limits, each checked before any norm is built or array allocated
 _MAX_NORMS = 25_000  # norms of one setting
 _MAX_GRID_POINTS = 10_000
 _MAX_GRID_CELLS = 2_000_000  # grid points x (largest cap + 2): one evaluation array
@@ -107,7 +99,6 @@ class WeightedBasisNorms:
     params: tuple
     norms: dict
     divergent: bool
-    quadrature_error: float
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -191,48 +182,17 @@ def constancy_verdict(spread: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# quadrature primitives
-
-
-def _quad01(integrand, epsrel: float) -> tuple[float, float]:
-    """Adaptive quadrature on [0, 1] with a relative target; loud on failure."""
-    out = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=epsrel, limit=200, full_output=1)
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # QUADPACK warning; accept only if the result is still tight
-        if not (value > 0 and abserr <= 1e-8 * abs(value)):
-            raise QuadratureFailureError(
-                f"quadrature did not reach epsrel={epsrel}: {out[3].splitlines()[0]}"
-            )
-    return value, abserr
-
-
-def _beta_like_integral(p: int, e: float, epsrel: float) -> tuple[float, float]:
-    """int_0^1 t^p (1-t)^e dt for integer p >= 0, real e > -1.
-
-    For e in (-1, 0) the endpoint singularity at t=1 is removed exactly by
-    s = (1-t)^(1+e): the integral becomes (1/(1+e)) int_0^1 (1-s^(1/(1+e)))^p ds
-    with a bounded integrand.
-    """
-    if e <= -1:
-        raise ValueError(f"exponent {e} is not integrable on [0, 1]")
-    if e < 0:
-        c = 1.0 + e
-        inv = 1.0 / c
-        value, err = _quad01(lambda s: (1.0 - s**inv) ** p, epsrel)
-        return value / c, err / c
-    return _quad01(lambda t: t**p * (1.0 - t) ** e, epsrel)
-
-
-# ---------------------------------------------------------------------------
 # ball norms and epsilon
 
 
 def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     """Squared monomial norms on the ball, or a divergence flag if alpha <= d.
 
-    d=1: ||z^m||^2 = pi * int t^m (1-t)^(alpha-2) dt, keys m = 0..degree_cap.
+    d=1: ||z^m||^2 = pi * int t^m (1-t)^(alpha-2) dt = pi B(m+1, alpha-1),
+         keys m = 0..degree_cap.
     d=2: after the angular and simplex reduction (t_i = rho s_i),
-         ||z^m||^2 = pi^2 * int u^m1 (1-u)^m2 du * int rho^(|m|+1) (1-rho)^(alpha-3) drho,
+         ||z^m||^2 = pi^2 * int u^m1 (1-u)^m2 du * int rho^(|m|+1) (1-rho)^(alpha-3) drho
+                   = pi^2 B(m1+1, m2+1) B(|m|+2, alpha-2),
          keys all multi-indices with |m| <= degree_cap.
     """
     alpha = float(alpha)
@@ -245,25 +205,16 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     count = degree_cap + 1 if d == 1 else math.comb(degree_cap + 2, 2)
     _check_size("degree_cap", degree_cap, count, "norms", _MAX_NORMS)
     if alpha <= d:
-        return WeightedBasisNorms("ball", (d, alpha), {}, True, 0.0)
-    epsrel = _EPSREL_D1 if d == 1 else _EPSREL_D2
-    e = alpha - (d + 1)
-    norms: dict = {}
-    worst = 0.0
+        return WeightedBasisNorms("ball", (d, alpha), {}, True)
     if d == 1:
-        for m in range(degree_cap + 1):
-            value, err = _beta_like_integral(m, e, epsrel)
-            norms[m] = math.pi * value
-            worst = max(worst, math.pi * err)
+        keys = range(degree_cap + 1)
+        log_beta = betaln(np.arange(degree_cap + 1.0) + 1.0, alpha - 1.0)
     else:
-        radial = [_beta_like_integral(n + 1, e, epsrel) for n in range(degree_cap + 1)]
-        for idx in multi_index_enumerate(2, degree_cap):
-            m1, m2 = idx
-            ang, ang_err = _beta_like_integral(m1, float(m2), epsrel)
-            rad, rad_err = radial[m1 + m2]
-            norms[idx] = math.pi**2 * ang * rad
-            worst = max(worst, math.pi**2 * (ang_err * rad + ang * rad_err))
-    return WeightedBasisNorms("ball", (d, alpha), norms, False, worst)
+        keys = multi_index_enumerate(2, degree_cap)
+        m1, m2 = np.array(keys, dtype=float).T
+        log_beta = betaln(m1 + 1.0, m2 + 1.0) + betaln(m1 + m2 + 2.0, alpha - 2.0)
+    norms = math.pi**d * np.exp(log_beta)
+    return WeightedBasisNorms("ball", (d, alpha), dict(zip(keys, norms.tolist())), False)
 
 
 def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
@@ -275,9 +226,6 @@ def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
     if t >= 1.0:
         raise SampleOutsideDomainError(f"|z|^2 = {t} is not < 1")
     return (1.0 - t) ** alpha * float(_power_sum(norms._inverse, [moduli])[0])
-
-
-_ball_norms_cached = lru_cache(maxsize=16)(ball_monomial_norms)
 
 
 def epsilon_ball(
@@ -299,7 +247,7 @@ def epsilon_ball(
     _check_size("grid_points", grid_points, grid_points, "points", _MAX_GRID_POINTS)
     cells = grid_points * (degree_cap + 2)
     _check_size("degree_cap", degree_cap, cells, f"cells on {grid_points} points", _MAX_GRID_CELLS)
-    norms = _ball_norms_cached(d, alpha, degree_cap)
+    norms = ball_monomial_norms(d, alpha, degree_cap)
     _require_convergent(norms)
     radii = np.linspace(0.0, grid_rmax, grid_points)
     t = radii**2
@@ -324,7 +272,8 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     Normalizing the fiber by rho = (1-t)^mu u factorizes each norm exactly:
 
         ||z^j w^m||^2 = pi^2 * int_0^1 u^m (1-u)^(alpha-3) du
-                              * int_0^1 t^j (1-t)^(mu(alpha+m)-2) dt.
+                              * int_0^1 t^j (1-t)^(mu(alpha+m)-2) dt
+                      = pi^2 B(m+1, alpha-2) B(j+1, mu(alpha+m)-1).
 
     The divergence thresholds are exact: the u integral needs alpha > 2 and
     the t integral needs mu(alpha+m) > 1 for all m >= 0, i.e. alpha*mu > 1.
@@ -339,20 +288,13 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
         raise ValueError(f"caps must be nonnegative, got {caps}")
     _check_size("caps", (cap_z, cap_w), (cap_z + 1) * (cap_w + 1), "norms", _MAX_NORMS)
     if alpha <= 2 or alpha * mu <= 1:
-        return WeightedBasisNorms("hartogs-disc", (mu, alpha), {}, True, 0.0)
-    norms: dict = {}
-    worst = 0.0
-    for m in range(cap_w + 1):
-        fib, fib_err = _beta_like_integral(m, alpha - 3.0, _EPSREL_D2)
-        e = mu * (alpha + m) - 2.0
-        for j in range(cap_z + 1):
-            base, base_err = _beta_like_integral(j, e, _EPSREL_D2)
-            norms[(j, m)] = math.pi**2 * fib * base
-            worst = max(worst, math.pi**2 * (fib_err * base + fib * base_err))
-    return WeightedBasisNorms("hartogs-disc", (mu, alpha), norms, False, worst)
-
-
-_hartogs_norms_cached = lru_cache(maxsize=8)(hartogs_disc_norms)
+        return WeightedBasisNorms("hartogs-disc", (mu, alpha), {}, True)
+    m = np.arange(cap_w + 1.0)[:, None]
+    j = np.arange(cap_z + 1.0)
+    log_beta = betaln(m + 1.0, alpha - 2.0) + betaln(j + 1.0, mu * (alpha + m) - 1.0)
+    keys = [(j, m) for m in range(cap_w + 1) for j in range(cap_z + 1)]
+    norms = math.pi**2 * np.exp(log_beta).ravel()
+    return WeightedBasisNorms("hartogs-disc", (mu, alpha), dict(zip(keys, norms.tolist())), False)
 
 
 def epsilon_point_hartogs(norms: WeightedBasisNorms, z, w) -> float:
@@ -376,7 +318,7 @@ def epsilon_hartogs_disc(
     caps = tuple(map(operator.index, caps))
     cells = grid.nz * grid.nw * (max(caps) + 2)
     _check_size("caps", caps, cells, f"cells on a {grid.nz}x{grid.nw} grid", _MAX_GRID_CELLS)
-    norms = _hartogs_norms_cached(float(mu), float(alpha), caps)
+    norms = hartogs_disc_norms(mu, alpha, caps)
     _require_convergent(norms)
     mu, alpha = norms.params
     if (1.0 - grid.t_max) ** mu == 0.0:
@@ -403,18 +345,29 @@ def _hartogs_tail_bound(t, y, mu: float, alpha: float, cap_z: int, cap_w: int) -
       (y/(1-t)^mu) (m+alpha-1)/(m+1) * c_(m+1)/c_m, or inf if that is >= 1.
 
     Pieces are formed in logs with the weight ((1-t)^mu - y)^alpha folded in;
-    xlogy gives 0 log 0 = 0, so t = 0 and y = 0 need no special case.
+    xlogy gives 0 log 0 = 0, so t = 0 and y = 0 need no special case.  The
+    pieces are updated in place, so at most three (points x powers) arrays live.
     """
     t, y = t[:, None], y[:, None]
     m = np.arange(cap_w + 2.0)
     c = mu * (alpha + m) - 1.0
-    fiber = m > cap_w
     log_weight = xlogy(alpha, (1.0 - t) ** mu - y) - 2.0 * math.log(math.pi)
-    log_w = log_weight + xlogy(m, y) - betaln(m + 1.0, alpha - 2.0)
-    log_full = log_w + np.log(c) - (c + 1.0) * np.log1p(-t)
-    fiber_ratio = y / (1.0 - t) ** mu * (m + alpha - 1.0) / (m + 1.0) * (c + mu) / c
-    ratio = np.where(fiber, fiber_ratio, t * (cap_z + 2 + c) / (cap_z + 2))
-    log_first = np.where(fiber, log_full, log_w + xlogy(cap_z + 1, t) - betaln(cap_z + 2, c))
-    log_rest = np.log1p(-ratio, out=np.zeros(ratio.shape), where=ratio < 1.0)
-    log_piece = np.where(ratio < 1.0, log_first - log_rest, np.where(fiber, np.inf, log_full))
-    return float(np.exp(log_piece).sum(axis=1).max())
+    log_w = xlogy(m, y)
+    log_w += log_weight
+    log_w -= betaln(m + 1.0, alpha - 2.0)
+    log_full = log_w + np.log(c)
+    log_full -= (c + 1.0) * np.log1p(-t)
+    log_first = log_w  # the first omitted term of each piece, in place
+    log_first += xlogy(cap_z + 1, t)
+    log_first -= betaln(cap_z + 2, c)
+    log_first[:, -1:] = log_full[:, -1:]
+    ratio = t * (cap_z + 2 + c)
+    ratio /= cap_z + 2
+    ratio[:, -1:] = (
+        y / (1.0 - t) ** mu * (m[-1:] + alpha - 1.0) / (m[-1:] + 1.0) * (c[-1:] + mu) / c[-1:]
+    )
+    converges = ratio < 1.0
+    log_first -= np.log1p(np.negative(ratio, out=ratio), out=ratio, where=converges)
+    log_full[:, -1] = np.inf  # a divergent fiber sum; the j sums of m <= cap_w stay
+    np.copyto(log_full, log_first, where=converges)
+    return float(np.exp(log_full, out=log_full).sum(axis=1).max())

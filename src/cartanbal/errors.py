@@ -39,7 +39,3 @@ class SampleOutsideDomainError(CartanbalError, ValueError):
 
 class TrivialSpaceError(CartanbalError, ValueError):
     """The weighted Hilbert space contains no nonzero analytic functions."""
-
-
-class QuadratureFailureError(CartanbalError, RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""

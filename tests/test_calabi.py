@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cartanbal.balanced import HartogsSpec
@@ -12,6 +13,7 @@ from cartanbal.calabi import (
     verify_pullback,
 )
 from cartanbal.catalog import ball, parse_domain
+from cartanbal.epsilon import _hartogs_tail_bound
 from cartanbal.errors import (
     BallNotAllowedError,
     NonpositiveParameterError,
@@ -169,6 +171,21 @@ def test_pullback_memory_is_bounded_per_fiber_power():
         tracemalloc.stop()
     assert peak < 4e6, peak
     assert check.max_rel_error <= check.tail_bound + 1e-13
+
+
+def test_hartogs_tail_bound_memory_is_bounded():
+    # 32x32 points and caps (80, 80) give (1024 x 82) arrays of 0.67 MB each;
+    # the bound updates them in place and keeps at most three alive
+    t = np.repeat(np.linspace(0.0, 0.35, 32), 32)
+    y = np.tile(np.linspace(0.0, 0.5, 32), 32) * (1.0 - t) ** 2.0
+    tracemalloc.start()
+    try:
+        tail = _hartogs_tail_bound(t, y, 2.0, 4.0, 80, 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6, peak
+    assert 0 < tail < 1e-6
 
 
 def test_pullback_rejects_outside_samples():

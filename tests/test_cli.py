@@ -7,6 +7,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 
 from hypothesis import given, settings
@@ -314,6 +316,21 @@ def test_oversized_caps_are_refused_at_once(capsys):
     assert code == 1
     assert "caps" in err and "Traceback" not in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # the norms are closed-form Beta values: no cartanbal process loads quadrature
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, cartanbal.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_csv_write_failure_is_an_error(tmp_path, capsys):

@@ -166,7 +166,7 @@ def test_point_and_grid_agree_hartogs():
 
 
 def _worst_rel_gap(norms, exact) -> float:
-    """Largest relative gap between the quadrature norms and exact(key)."""
+    """Largest relative gap between the library norms and exact(key)."""
     worst = 0.0
     with mpmath.workdps(30):
         for key, value in norms.norms.items():
@@ -199,6 +199,46 @@ def test_quadrature_norms_match_mpmath_beta():
         assert len(norms.norms) == count
         worst = _worst_rel_gap(norms, exact)
         assert worst < 1e-10, (norms.setting, norms.params, worst)
+
+
+def _quad(f, a, b, endpoint_power=0.0):
+    """int_a^b f(x) (b-x)^endpoint_power dx; weight="alg" absorbs the endpoint power."""
+    return quad(
+        f, a, b, weight="alg", wvar=(0.0, endpoint_power), epsabs=0.0, epsrel=1e-12, limit=200
+    )[0]
+
+
+def test_norms_match_nested_quadrature_of_the_defining_integrals():
+    # the unfactorised radial integrals, with no Beta function and no fiber
+    # normalisation: an oracle that shares nothing with the closed form
+    def hartogs(mu, alpha, j, m):
+        # pi^2 int_0^1 int_0^(N^mu) (N^mu - rho)^(alpha-3) N^(2mu-2) t^j rho^m drho dt
+        def fiber(t):
+            return _quad(lambda rho: rho**m, 0.0, (1.0 - t) ** mu, alpha - 3.0)
+
+        return math.pi**2 * _quad(lambda t: t**j * fiber(t), 0.0, 1.0, 2.0 * mu - 2.0)
+
+    def ball2(alpha, m1, m2):
+        # pi^2 int over the simplex t1 + t2 < 1 of (1-t1-t2)^(alpha-3) t1^m1 t2^m2
+        def inner(t1):
+            return _quad(lambda t2: t2**m2, 0.0, 1.0 - t1, alpha - 3.0)
+
+        return math.pi**2 * _quad(lambda t1: t1**m1 * inner(t1), 0.0, 1.0)
+
+    def ball1(alpha, m):
+        return math.pi * _quad(lambda t: t**m, 0.0, 1.0, alpha - 2.0)
+
+    cases = []
+    for mu, alpha in ((0.75, 2.5), (2.0, 4.0), (1.0, 3.5)):
+        norms = hartogs_disc_norms(mu, alpha, (7, 7)).norms
+        cases += [(norms[k], hartogs(mu, alpha, *k)) for k in ((0, 0), (3, 2), (7, 5), (1, 7))]
+    for alpha in (2.5, 3.5):
+        norms = ball_monomial_norms(2, alpha, 8).norms
+        cases += [(norms[k], ball2(alpha, *k)) for k in ((0, 0), (2, 3), (5, 1), (0, 8))]
+    norms = ball_monomial_norms(1, 1.5, 8).norms  # (1-t)^(-1/2): the singular endpoint
+    cases += [(norms[m], ball1(1.5, m)) for m in (0, 3, 8)]
+    for value, oracle in cases:
+        assert value == pytest.approx(oracle, rel=1e-8)
 
 
 def test_epsilon_point_ball_rotation_invariant():
@@ -342,7 +382,7 @@ def test_caps_may_be_any_int_pair():
 
 
 def test_size_limits_name_the_parameter():
-    # each is refused before any quadrature runs
+    # each is refused before any norm is built
     with pytest.raises(ValueError, match="caps"):
         hartogs_disc_norms(1.0, 3.0, (2000, 2000))
     with pytest.raises(ValueError, match="caps"):
@@ -355,18 +395,11 @@ def test_size_limits_name_the_parameter():
         DiscGrid(101, 100)
     with pytest.raises(ValueError, match="grid_points"):
         epsilon_ball(1, 3.0, 0.5, 20, grid_points=10_001)
-    # sizes at the limits pass the checks (divergent weights skip the quadrature)
+    # sizes at the limits pass the checks (divergent weights build no norms)
     assert ball_monomial_norms(1, 1.0, 24_999).divergent
     assert ball_monomial_norms(2, 2.0, 222).divergent  # 24,976 norms
     assert hartogs_disc_norms(1.0, 2.0, (157, 157)).divergent  # 24,964 norms
     assert DiscGrid(100, 100).nz == 100
-
-
-def test_quadrature_error_is_tracked():
-    norms = ball_monomial_norms(1, 3.0, 10)
-    assert 0 < norms.quadrature_error < 1e-10
-    hn = hartogs_disc_norms(1.0, 4.0, (6, 6))
-    assert 0 < hn.quadrature_error < 1e-8
 
 
 def test_report_verdict_respects_tail_bound():
