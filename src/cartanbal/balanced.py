@@ -100,21 +100,27 @@ class HartogsSpec:
 
 @dataclass(frozen=True)
 class BalancedVerdict:
+    """One Hartogs verdict; its fields are the balanced-hartogs CLI payload.
+
+    ratio_constant (the constancy of the norm-chain ratio) is read off the
+    reason: True for ok, False for m_dependence, None when a necessary
+    inequality fails and the ratio is undefined.
+    """
+
     balanced: bool
     reason: str
     witness_m: int | None = None
     value_at_0: Fraction | None = None
     value_at_witness: Fraction | None = None
-    # constancy of the norm-chain ratio; None when a precondition fails
-    ratio_constant: bool | None = None
 
     def __post_init__(self):
         has_witness = self.witness_m is not None
         if has_witness != (self.reason == REASON_M_DEPENDENCE):
             raise ValueError("witness fields present iff reason is m_dependence")
-        has_ratio = self.ratio_constant is not None
-        if has_ratio != (self.reason in (REASON_OK, REASON_M_DEPENDENCE)):
-            raise ValueError("ratio_constant present iff the preconditions hold")
+
+    @property
+    def ratio_constant(self) -> bool | None:
+        return {REASON_OK: True, REASON_M_DEPENDENCE: False}.get(self.reason)
 
 
 def cartan_balanced(dom: CartanDomain, beta) -> bool:
@@ -220,7 +226,7 @@ def hartogs_balanced(spec: HartogsSpec) -> BalancedVerdict:
                     f"constant norm-chain ratio with value {value} != 1 for "
                     f"{spec.label}"
                 )
-            verdict = BalancedVerdict(True, REASON_OK, ratio_constant=True)
+            verdict = BalancedVerdict(True, REASON_OK)
         else:
             verdict = _m_dependence_verdict(spec)
     expected = _closed_form_balanced(spec)
@@ -246,9 +252,7 @@ def _m_dependence_verdict(spec: HartogsSpec) -> BalancedVerdict:
         for m in range(1, spec.base.dim + 2):
             value_m = quantity.eval_at(m)
             if value_m != value_0:
-                return BalancedVerdict(
-                    False, REASON_M_DEPENDENCE, m, value_0, value_m, ratio_constant=False
-                )
+                return BalancedVerdict(False, REASON_M_DEPENDENCE, m, value_0, value_m)
     except PoleError as exc:  # pragma: no cover - guarded by preconditions
         raise InternalConsistencyError(
             f"unexpected pole while searching m-dependence witness for "
@@ -276,17 +280,9 @@ class ScanRow:
     ratio_constant: bool | None  # None when the ratio is not defined
 
     def as_dict(self) -> dict:
-        return {
-            "domain": self.domain.label,
-            "mu": str(self.mu),
-            "alpha": str(self.alpha),
-            "balanced": self.balanced,
-            "reason": self.reason,
-            "witness_m": self.witness_m,
-            "closed_form": self.closed_form,
-            "necessary_ok": self.necessary_ok,
-            "ratio_constant": self.ratio_constant,
-        }
+        """The fields in order, JSON-ready: the domain as its label, mu and alpha as "p/q"."""
+        return {**vars(self), "domain": self.domain.label, "mu": str(self.mu),
+                "alpha": str(self.alpha)}
 
 
 def default_scan_mus(dom: CartanDomain) -> list[Fraction]:

@@ -48,7 +48,10 @@ __all__ = [
 ]
 
 
+# size limits, shared with epsilon.py; each is checked before any array is built
 _MAX_ENTRIES = 200_000  # exact entries of one build_immersion
+_MAX_GRID_POINTS = 10_000  # points of one epsilon grid or pullback sample grid
+_MAX_GRID_CELLS = 2_000_000  # floats in one evaluation array
 
 
 def _check_size(name: str, value, count: int, unit: str, limit: int) -> None:
@@ -240,6 +243,10 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     points = list(samples)
     if not points:
         raise ValueError("verify_pullback needs at least one sample")
+    # one _power_sum holds samples x (cap+1)^(d-1) floats, and its powers samples x (cap+1)
+    cells = len(points) * (coeffs.cutoff + 1) ** max(d - 1, 1)
+    _check_size("samples", len(points), cells, f"cells at degree cap {coeffs.cutoff}",
+                _MAX_GRID_CELLS)
     rows = []
     for z, w in points:
         moduli = [abs(part) ** 2 for part in _as_point(z, d)]

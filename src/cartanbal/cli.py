@@ -14,12 +14,16 @@ their grids as CSV with columns |z|, |w|, epsilon.
 
 Render contract: a handler computes each value once and returns
 (exit code, payload, lines).  The payload holds raw values (Fraction,
-CartanDomain, bool, None, numbers, and sequences of these); the lines are
-str.format templates over the payload and the parsed flags.  _render is the
-one print path: it adds the schema field and the manifest, then prints the
-payload through one JSON encoder (_json_default: a Fraction as "p/q", a
-domain as its label) or fills the templates (_fmt: true/false, "-" for None,
-sequences comma-joined; explicit specs such as {spread:.3e} format floats).
+CartanDomain, bool, None, numbers, and sequences of these); where it reports
+a result object it spreads that object's fields (vars(verdict), vars(report),
+vars(domain)) after the request parameters instead of copying them key by
+key.  The lines are str.format templates over the payload and the parsed
+flags.  _render is the one print path: it adds the schema field and the
+manifest, then prints the payload through one JSON encoder (_json_default: a
+Fraction as "p/q", a domain as its label) or fills the templates (_fmt:
+true/false, "-" for None, sequences comma-joined; explicit specs such as
+{spread:.3e} format floats).  Errors raised while rendering (an integer past
+Python's int-to-str digit limit) exit 1 like errors raised while computing.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .balanced import (
     corollary_scan,
     hartogs_balanced,
 )
-from .calabi import build_immersion, verify_pullback
+from .calabi import _MAX_GRID_POINTS, _check_size, build_immersion, verify_pullback
 from .catalog import CartanDomain, ball, enumerate_catalog, parse_domain
 from .epsilon import DiscGrid, epsilon_ball, epsilon_hartogs_disc
 from .errors import CartanbalError
@@ -205,11 +209,8 @@ def _check_grid(text: str) -> tuple[float, int]:
 
 
 def _cmd_catalog(args):
-    rows = [
-        {"label": d.label, "family": d.family.value, "sizes": d.sizes, "r": d.r, "a": d.a,
-         "b": d.b, "gamma": d.gamma, "dim": d.dim, "is_ball": d.is_ball}
-        for d in enumerate_catalog(args.dim_cap)
-    ]
+    rows = [{"label": d.label, **vars(d), "is_ball": d.is_ball}
+            for d in enumerate_catalog(args.dim_cap)]
     columns = [("domain", "label"), ("r", "r"), ("a", "a"), ("b", "b"), ("gamma", "gamma"),
                ("dim", "dim"), ("ball", "is_ball")]
     lines = _table(columns, rows) + [f"{len(rows)} domains of dimension <= {args.dim_cap}"]
@@ -275,9 +276,7 @@ def _cmd_balanced_cartan(args):
 def _cmd_balanced_hartogs(args):
     spec = HartogsSpec(args.domain, args.mu, args.alpha)
     v = hartogs_balanced(spec)
-    payload = {"domain": args.domain, "mu": args.mu, "alpha": args.alpha,
-               "balanced": v.balanced, "reason": v.reason, "witness_m": v.witness_m,
-               "value_at_0": v.value_at_0, "value_at_witness": v.value_at_witness}
+    payload = {"domain": args.domain, "mu": args.mu, "alpha": args.alpha, **vars(v)}
     lines = [f"spec: {spec.label}", "balanced: {balanced}"]
     if v.witness_m is not None:
         lines.append("reason: {reason}; ratio at m=0 is {value_at_0}"
@@ -316,6 +315,7 @@ def _cmd_immersion(args):
     lines = [f"spec: {spec.label}", "squared coefficients up to total degree {cap}: {entries}"]
     if args.check_grid is not None:
         rmax, n = args.check_grid
+        _check_size("check_grid", f"{rmax}:{n}", n * n, "samples", _MAX_GRID_POINTS)
         mu = float(spec.mu)
         samples = []
         for r in np.linspace(0.0, rmax, n):
@@ -336,10 +336,7 @@ def _cmd_immersion(args):
 
 def _epsilon(args, title: str, head: dict, report):
     """Shared by the epsilon subcommands: payload after head, text lines and the CSV."""
-    payload = {**head, "grid": report.grid, "values": report.values,
-               "min_value": report.min_value, "max_value": report.max_value,
-               "spread": report.spread, "truncation_degree": report.truncation_degree,
-               "tail_bound": report.tail_bound, "verdict": report.verdict}
+    payload = {**head, **vars(report), "verdict": report.verdict}
     lines = [title, f"grid points: {len(report.values)}", "min epsilon: {min_value:.12g}",
              "max epsilon: {max_value:.12g}", "spread (max-min)/max: {spread:.3e}",
              "truncation tail bound: {tail_bound:.3e}", "verdict: {verdict}"]
@@ -422,7 +419,8 @@ _SUBCOMMANDS = [
             type=_check_grid, metavar="RMAX:N",
             help="verify the pullback on an N x N sample grid up to radius RMAX")),
     ]),
-    ("epsilon-ball", _cmd_epsilon_ball, "epsilon function on the ball by quadrature", [
+    ("epsilon-ball", _cmd_epsilon_ball,
+     "epsilon function on the ball from closed-form Beta norms", [
         ("--d", dict(type=int, choices=(1, 2), default=1)),
         ("--alpha", dict(type=float, required=True)),
         ("--rmax", dict(type=float, default=0.9)),
@@ -480,10 +478,10 @@ def main(argv=None) -> int:
         return 1
     try:
         code, payload, lines = args.func(args)
+        _render(args, payload, lines)
     except (CartanbalError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _render(args, payload, lines)
     return code
 
 

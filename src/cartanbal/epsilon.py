@@ -58,7 +58,15 @@ from functools import cached_property
 import numpy as np
 from scipy.special import betaln, xlogy
 
-from .calabi import _as_point, _check_size, _dense, _power_sum, multi_index_enumerate
+from .calabi import (
+    _MAX_GRID_CELLS,
+    _MAX_GRID_POINTS,
+    _as_point,
+    _check_size,
+    _dense,
+    _power_sum,
+    multi_index_enumerate,
+)
 from .errors import SampleOutsideDomainError, TrivialSpaceError
 
 __all__ = [
@@ -79,10 +87,8 @@ __all__ = [
 SPREAD_CONSTANT = 1e-5
 SPREAD_NONCONSTANT = 1e-3
 
-# size limits, each checked before any norm is built or array allocated
+# size limit checked before any norm is built; the grid limits live in calabi.py
 _MAX_NORMS = 25_000  # norms of one setting
-_MAX_GRID_POINTS = 10_000
-_MAX_GRID_CELLS = 2_000_000  # grid points x (largest cap + 2): one evaluation array
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,18 @@
 """Exception hierarchy shared by all cartanbal modules."""
 
+__all__ = [
+    "CartanbalError",
+    "InvalidSizeError",
+    "DomainParseError",
+    "NonpositiveParameterError",
+    "PoleError",
+    "BallNotAllowedError",
+    "PreconditionError",
+    "InternalConsistencyError",
+    "SampleOutsideDomainError",
+    "TrivialSpaceError",
+]
+
 
 class CartanbalError(Exception):
     """Base class for all errors raised by this package."""

@@ -43,7 +43,6 @@ from .errors import PoleError
 
 __all__ = [
     "parse_rational",
-    "format_rational",
     "rising",
     "LinearFactor",
     "FactoredRational",
@@ -65,14 +64,6 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
-
-
-def format_rational(x: Fraction) -> str:
-    """Render "p" or "p/q" (lowest terms, q > 0)."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def rising(x: Fraction, n: int) -> Fraction:
@@ -104,11 +95,11 @@ class LinearFactor(namedtuple("LinearFactor", "slope intercept")):
 
     def render(self, var: str = "x") -> str:
         s, i = self.slope, self.intercept
-        head = var if s == 1 else ("-" + var if s == -1 else f"{format_rational(s)}{var}")
+        head = var if s == 1 else ("-" + var if s == -1 else f"{s}{var}")
         if i == 0:
             return head
         sign = "+" if i > 0 else "-"
-        return f"{head}{sign}{format_rational(abs(i))}"
+        return f"{head}{sign}{abs(i)}"
 
 
 def _primitive_pair(slope: int, intercept: int) -> tuple[LinearFactor, int]:
@@ -273,7 +264,7 @@ class FactoredRational:
             if v == 0:
                 raise PoleError(
                     f"denominator factor ({f.render(self.var)}) vanishes at "
-                    f"{self.var}={format_rational(x)}"
+                    f"{self.var}={x}"
                 )
             den *= v
         num = self.scale.numerator
@@ -320,7 +311,7 @@ class FactoredRational:
     def __str__(self) -> str:
         parts = []
         if self.scale != 1 or not (self.numer or self.denom):
-            parts.append(format_rational(self.scale))
+            parts.append(str(self.scale))
         if self.numer:
             parts.append("".join(f"({f.render(self.var)})" for f in self.numer))
         head = "*".join(parts) if parts else "1"
@@ -336,7 +327,7 @@ class FactoredRational:
         """Exact round-trip form: "num: [...]; den: [...]; scale: p/q"."""
         num = ", ".join(f.render(self.var) for f in self.numer)
         den = ", ".join(f.render(self.var) for f in self.denom)
-        return f"num: [{num}]; den: [{den}]; scale: {format_rational(self.scale)}"
+        return f"num: [{num}]; den: [{den}]; scale: {self.scale}"
 
     _TEXT_RE = re.compile(r"^num:\s*\[(.*)\];\s*den:\s*\[(.*)\];\s*scale:\s*(\S+)$")
     _FACTOR_RE = re.compile(r"^\s*(-?\d+)?\s*\*?\s*([A-Za-z]\w*)\s*(?:([+-])\s*(\d+))?\s*$")

@@ -173,6 +173,18 @@ def test_pullback_memory_is_bounded_per_fiber_power():
     assert check.max_rel_error <= check.tail_bound + 1e-13
 
 
+def test_pullback_refuses_oversized_sample_sets():
+    # one evaluation array holds samples x (cap+1)^max(d-1, 1) floats; 2,000,000 at most
+    coeffs = build_immersion(HartogsSpec(ball(1), F(1), F(3)), 20)
+    limit = 2_000_000 // 21
+    assert verify_pullback(coeffs, [(0.1, 0.1)] * limit).samples_checked == limit
+    with pytest.raises(ValueError, match="samples=95239 needs 2,000,019 cells"):
+        verify_pullback(coeffs, [(0.1, 0.1)] * (limit + 1))
+    coeffs = build_immersion(HartogsSpec(ball(3), F(1), F(5)), 20)
+    with pytest.raises(ValueError, match="samples=4536 needs 2,000,376 cells"):
+        verify_pullback(coeffs, [((0.1, 0.1, 0.1), 0.1)] * (2_000_000 // 441 + 1))
+
+
 def test_hartogs_tail_bound_memory_is_bounded():
     # 32x32 points and caps (80, 80) give (1024 x 82) arrays of 0.67 MB each;
     # the bound updates them in place and keeps at most three alive

@@ -318,6 +318,25 @@ def test_oversized_caps_are_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_huge_rationals_are_an_error_not_a_traceback(capsys):
+    # both results are exact rationals past the 4,300-digit int-to-str limit
+    for argv in (
+        ("balanced-hartogs", "--domain", "I:60,60", "--mu", "1", "--alpha", "4000", "--json"),
+        ("moment", "--domain", "I:100,100", "--s", "1/3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_oversized_check_grid_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "immersion", "--mu", "1", "--alpha", "3", "--check-grid", "0.5:1000")
+    assert code == 1 and out == ""
+    assert "check_grid=0.5:1000 needs 1,000,000 samples" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_cli_import_leaves_scipy_integrate_out():
     # the norms are closed-form Beta values: no cartanbal process loads quadrature
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
