@@ -22,9 +22,6 @@ from .calabi import *
 from .epsilon import *
 from .errors import *
 
-# after the star imports: as the first import, this line made each
-# `python -m cartanbal.cli` process about 20 ms slower (2,500 more page
-# faults, Python 3.11.7 on Linux), although it loads the same modules
 from . import catalog, exactnum, wallach, moments, balanced, calabi, epsilon, errors
 
 __all__ = ["__version__"]

@@ -47,6 +47,7 @@ from .errors import (
     NonpositiveParameterError,
     PoleError,
     PreconditionError,
+    _check_size,
 )
 from .exactnum import FactoredRational
 from .moments import moment_ratio
@@ -75,6 +76,10 @@ REASON_OK = "ok"
 REASON_ALPHA = "alpha_not_above_d_plus_1"
 REASON_ALPHA_MU = "alpha_mu_not_above_gamma_minus_1"
 REASON_M_DEPENDENCE = "m_dependence"
+
+# checked before any verdict: the default grids take about 4.4 s at cap 80 and
+# 8.5 s at cap 100 (2-core VM, Python 3.11)
+_MAX_SCAN_DIM_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -320,6 +325,7 @@ def balanced_scan(
     per-domain sample grids (mu includes gamma/(dim+1), alpha scales with the
     dimension).  The sort order of the result is (domain label, mu, alpha).
     """
+    _check_size("dim_cap", dim_cap, dim_cap, "scanned dimensions", _MAX_SCAN_DIM_CAP)
     rows = []
     for dom in enumerate_catalog(dim_cap):
         dom_mus = [Fraction(m) for m in mus] if mus is not None else default_scan_mus(dom)

@@ -18,6 +18,9 @@ bound on the truncated tail.
 
 _power_sum is the one evaluator of the numeric power sums in this package:
 the pullback check here and every epsilon value and tail slice in epsilon.py.
+numpy is imported inside _dense, _power_sum and verify_pullback, the only
+functions that use it, so importing the package loads no numeric stack and
+the exact code paths never pay for it.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .balanced import HartogsSpec
 from .errors import (
     BallNotAllowedError,
     NonpositiveParameterError,
     SampleOutsideDomainError,
+    _check_size,
 )
 from .exactnum import rising
 
@@ -52,12 +54,6 @@ __all__ = [
 _MAX_ENTRIES = 200_000  # exact entries of one build_immersion
 _MAX_GRID_POINTS = 10_000  # points of one epsilon grid or pullback sample grid
 _MAX_GRID_CELLS = 2_000_000  # floats in one evaluation array
-
-
-def _check_size(name: str, value, count: int, unit: str, limit: int) -> None:
-    """ValueError naming the parameter when a request needs more than limit units."""
-    if count > limit:
-        raise ValueError(f"{name}={value} needs {count:,} {unit}, over the limit of {limit:,}")
 
 
 def multi_index_enumerate(dim: int, degree_cap: int) -> list[tuple[int, ...]]:
@@ -88,6 +84,8 @@ def multi_index_enumerate(dim: int, degree_cap: int) -> list[tuple[int, ...]]:
 
 def _dense(index, values: np.ndarray) -> np.ndarray:
     """Dense float array holding values at the int indices (one row each), zero elsewhere."""
+    import numpy as np
+
     index = np.asarray(index).reshape(len(values), -1).T
     out = np.zeros(tuple(index.max(axis=1) + 1))
     out[tuple(index)] = values
@@ -101,6 +99,8 @@ def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
     bases is (npoints, coef.ndim).  Axes are contracted one at a time, last
     first, against the power vectors of their variable.
     """
+    import numpy as np
+
     bases = np.asarray(bases, dtype=float)
     out = np.broadcast_to(coef, (len(bases), *coef.shape))
     for axis in reversed(range(coef.ndim)):
@@ -236,6 +236,8 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     sample, relative to the target value, and the measured error must stay
     below it (up to float roundoff).
     """
+    import numpy as np
+
     spec = coeffs.spec
     d = spec.base.dim
     mu = float(spec.mu)

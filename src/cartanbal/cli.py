@@ -38,8 +38,6 @@ import sys
 from collections import ChainMap
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .balanced import (
     HartogsSpec,
@@ -48,10 +46,10 @@ from .balanced import (
     corollary_scan,
     hartogs_balanced,
 )
-from .calabi import _MAX_GRID_POINTS, _check_size, build_immersion, verify_pullback
+from .calabi import _MAX_GRID_POINTS, build_immersion, verify_pullback
 from .catalog import CartanDomain, ball, enumerate_catalog, parse_domain
 from .epsilon import DiscGrid, epsilon_ball, epsilon_hartogs_disc
-from .errors import CartanbalError
+from .errors import CartanbalError, _check_size
 from .exactnum import parse_rational
 from .moments import moment_converges, moment_ratio
 from .wallach import (
@@ -314,6 +312,8 @@ def _cmd_immersion(args):
                "entries": len(coeffs.entries), "check": None}
     lines = [f"spec: {spec.label}", "squared coefficients up to total degree {cap}: {entries}"]
     if args.check_grid is not None:
+        import numpy as np
+
         rmax, n = args.check_grid
         _check_size("check_grid", f"{rmax}:{n}", n * n, "samples", _MAX_GRID_POINTS)
         mu = float(spec.mu)

@@ -46,6 +46,11 @@ EpsilonReport.verdict is inconclusive unless the spread moved by T / max
 either way reads the same.  The Hartogs tail bound is one array expression
 over (grid points x fiber powers).  Sizes (norms, grid points, evaluation
 arrays) are checked against module limits before any norm is built.
+
+numpy and scipy.special are imported inside the functions that call them
+(WeightedBasisNorms._inverse, the two norm builders, the two grid functions
+and _hartogs_tail_bound), not at module level, so the numeric stack loads on
+the first numeric call and never on the exact code paths.
 """
 
 from __future__ import annotations
@@ -55,19 +60,15 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-from scipy.special import betaln, xlogy
-
 from .calabi import (
     _MAX_GRID_CELLS,
     _MAX_GRID_POINTS,
     _as_point,
-    _check_size,
     _dense,
     _power_sum,
     multi_index_enumerate,
 )
-from .errors import SampleOutsideDomainError, TrivialSpaceError
+from .errors import SampleOutsideDomainError, TrivialSpaceError, _check_size
 
 __all__ = [
     "WeightedBasisNorms",
@@ -109,6 +110,8 @@ class WeightedBasisNorms:
     @cached_property
     def _inverse(self) -> np.ndarray:
         """1/norm as a dense array, one axis per variable, zero off the keys."""
+        import numpy as np
+
         return _dense(list(self.norms), 1.0 / np.fromiter(self.norms.values(), float))
 
 
@@ -201,6 +204,9 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
                    = pi^2 B(m1+1, m2+1) B(|m|+2, alpha-2),
          keys all multi-indices with |m| <= degree_cap.
     """
+    import numpy as np
+    from scipy.special import betaln
+
     alpha = float(alpha)
     if d not in (1, 2):
         raise ValueError(f"d must be 1 or 2, got {d}")
@@ -245,6 +251,8 @@ def epsilon_ball(
     decreasing in n, so the tail above the cap is bounded by the last kept
     degree-slice times a geometric series.
     """
+    import numpy as np
+
     alpha = float(alpha)
     if not 0 < grid_rmax < 1:
         raise SampleOutsideDomainError(f"grid_rmax must lie in (0, 1), got {grid_rmax}")
@@ -284,6 +292,9 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     The divergence thresholds are exact: the u integral needs alpha > 2 and
     the t integral needs mu(alpha+m) > 1 for all m >= 0, i.e. alpha*mu > 1.
     """
+    import numpy as np
+    from scipy.special import betaln
+
     mu, alpha = float(mu), float(alpha)
     cap_z, cap_w = caps
     if not (math.isfinite(mu) and mu > 0):
@@ -320,6 +331,8 @@ def epsilon_hartogs_disc(
     mu, alpha, grid: DiscGrid | None = None, caps: tuple[int, int] = (80, 80)
 ) -> EpsilonReport:
     """epsilon over an interior grid of the Hartogs disc domain."""
+    import numpy as np
+
     grid = grid or DiscGrid()
     caps = tuple(map(operator.index, caps))
     cells = grid.nz * grid.nw * (max(caps) + 2)
@@ -354,6 +367,9 @@ def _hartogs_tail_bound(t, y, mu: float, alpha: float, cap_z: int, cap_w: int) -
     xlogy gives 0 log 0 = 0, so t = 0 and y = 0 need no special case.  The
     pieces are updated in place, so at most three (points x powers) arrays live.
     """
+    import numpy as np
+    from scipy.special import betaln, xlogy
+
     t, y = t[:, None], y[:, None]
     m = np.arange(cap_w + 2.0)
     c = mu * (alpha + m) - 1.0

@@ -52,3 +52,9 @@ class SampleOutsideDomainError(CartanbalError, ValueError):
 
 class TrivialSpaceError(CartanbalError, ValueError):
     """The weighted Hilbert space contains no nonzero analytic functions."""
+
+
+def _check_size(name: str, value, count: int, unit: str, limit: int) -> None:
+    """ValueError naming the parameter when a request needs more than limit units."""
+    if count > limit:
+        raise ValueError(f"{name}={value} needs {count:,} {unit}, over the limit of {limit:,}")

@@ -179,6 +179,14 @@ def test_scan_explicit_grids():
         assert row.balanced == (row.domain.is_ball and row.domain.dim + 1 < 4)
 
 
+def test_scan_dim_cap_limit():
+    # alpha = 1/2 fails the necessary inequality, so each row costs no chain ratio
+    rows = balanced_scan(100, mus=[F(1)], alphas=[F(1, 2)])
+    assert len(rows) == len(enumerate_catalog(100))
+    with pytest.raises(ValueError, match="dim_cap=101 needs"):
+        balanced_scan(101)
+
+
 def test_type_three_rank_one_matches_ball():
     # III:2 has a=4 but rank 1; the a-dependence drops out of every formula
     for mu, alpha in [(F(1), F(4)), (F(2), F(4)), (F(3, 4), F(11, 2))]:

@@ -160,6 +160,12 @@ def test_enumerate_catalog_small_caps():
         enumerate_catalog(0)
 
 
+def test_enumerate_catalog_dim_cap_limit():
+    assert len(enumerate_catalog(1000)) == 4638
+    with pytest.raises(ValueError, match="dim_cap=1001 needs"):
+        enumerate_catalog(1001)
+
+
 def test_domain_is_hashable_and_frozen():
     dom = make_domain("IV", (4,))
     assert isinstance(dom, CartanDomain)

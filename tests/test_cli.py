@@ -329,6 +329,22 @@ def test_huge_rationals_are_an_error_not_a_traceback(capsys):
         assert out == "" and err.startswith("error: ") and "Traceback" not in err, argv
 
 
+def test_dim_cap_limits(capsys):
+    # the largest allowed cap runs; one more is refused before any work
+    for ok_argv, refused in (
+        (("catalog", "--dim-cap", "1000"), ("catalog", "--dim-cap", "1001")),
+        (("scan", "--dim-cap", "100", "--mus", "1", "--alphas", "1/2"), ("scan", "--dim-cap", "101")),
+    ):
+        code, out, _ = run(capsys, *ok_argv)
+        assert code == 0 and out, ok_argv
+        start = time.perf_counter()
+        code, out, err = run(capsys, *refused)
+        assert time.perf_counter() - start < 1.0, refused
+        assert code == 1 and out == "", refused
+        assert err.startswith(f"error: dim_cap={refused[-1]} needs"), refused
+        assert "Traceback" not in err
+
+
 def test_oversized_check_grid_is_refused_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "immersion", "--mu", "1", "--alpha", "3", "--check-grid", "0.5:1000")
@@ -337,19 +353,55 @@ def test_oversized_check_grid_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # the norms are closed-form Beta values: no cartanbal process loads quadrature
+# Runs in a fresh interpreter: the package and each exact subcommand must load
+# neither numpy nor scipy; a numeric subcommand then loads scipy.special (and
+# still not scipy.integrate: the norms are closed-form Beta values).
+_NUMERIC_STACK_PROBE = """
+import contextlib, io, json, sys
+
+def numeric_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy"))
+
+import cartanbal
+steps = [["import cartanbal", None, numeric_modules()]]
+import cartanbal.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cartanbal.cli.main(argv)
+    steps.append([" ".join(argv), code, numeric_modules()])
+print(json.dumps(steps))
+"""
+
+
+def test_exact_path_leaves_numeric_stack_out():
+    exact = [
+        (["catalog"], 0),
+        (["wallach", "--domain", "I:2,3"], 0),
+        (["balanced-hartogs", "--domain", "I:2,2", "--mu", "1", "--alpha", "6"], 2),
+        (["scan", "--dim-cap", "5"], 0),
+        (["corollary-scan", "--dim-cap", "8"], 0),
+        (["moment-ratio", "--domain", "IV:5"], 0),
+        (["immersion", "--mu", "1", "--alpha", "3", "--cap", "10"], 0),
+    ]
+    numeric = ["epsilon-hartogs", "--mu", "1", "--alpha", "3", "--grid", "2x2", "--caps", "8,8"]
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, cartanbal.cli; print('scipy.integrate' in sys.modules)"
+    argvs = [argv for argv, _ in exact] + [numeric]
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", _NUMERIC_STACK_PROBE, json.dumps(argvs)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    steps = json.loads(done.stdout)
+    assert len(steps) == len(argvs) + 1
+    assert steps[0] == ["import cartanbal", None, []]
+    for (argv, code), step in zip(exact, steps[1:]):
+        assert step == [" ".join(argv), code, []]
+    _, code, loaded = steps[-1]
+    assert code == 0
+    assert "scipy.special" in loaded and "scipy.integrate" not in loaded
 
 
 def test_csv_write_failure_is_an_error(tmp_path, capsys):
