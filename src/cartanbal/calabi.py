@@ -14,7 +14,9 @@ rising(alpha, mw)/mw!.  Summing squared moduli of all components (each
     sum entries[(mz, mw)] |z^mz|^2 |w|^(2 mw) = ((1-|z|^2)^mu - |w|^2)^(-alpha),
 
 which verify_pullback checks numerically on sample points, with an analytic
-bound on the truncated tail.
+bound on the truncated tail.  Each coefficient is a per-(mw, |mz|) slice factor
+times the multinomial |mz|!/prod_i mz_i!, so build_immersion stores only the
+(cap+1)(cap+2)/2 exact slice factors and entries is expanded when read.
 
 _power_sum is the one evaluator of the numeric power sums in this package:
 the pullback check here and every epsilon value and tail slice in epsilon.py.
@@ -25,11 +27,11 @@ the exact code paths never pay for it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .balanced import HartogsSpec
 from .errors import (
@@ -38,7 +40,6 @@ from .errors import (
     SampleOutsideDomainError,
     _check_size,
 )
-from .exactnum import rising
 
 __all__ = [
     "multi_index_enumerate",
@@ -66,20 +67,30 @@ def multi_index_enumerate(dim: int, degree_cap: int) -> list[tuple[int, ...]]:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
+    # levels[n] lists the degree-n indices in order: the last entry ascends slowest
+    levels = [[(n,)] for n in range(degree_cap + 1)]
+    for _ in range(dim - 1):
+        levels = [[head + (last,) for last in range(n + 1) for head in levels[n - last]]
+                  for n in range(degree_cap + 1)]
+    return [index for level in levels for index in level]
 
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
 
-    out: list[tuple[int, ...]] = []
-    for total in range(degree_cap + 1):
-        level = sorted(compositions(total, dim), key=lambda t: tuple(reversed(t)))
-        out.extend(level)
-    return out
+def _multinomials(dim: int, degree_cap: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(m, |m|, |m|!/prod_i m_i!) for m in multi_index_enumerate(dim, degree_cap), in order."""
+    factorials = [math.factorial(n) for n in range(degree_cap + 1)]
+    return [(m, sum(m), factorials[sum(m)] // math.prod(factorials[part] for part in m))
+            for m in multi_index_enumerate(dim, degree_cap)]
+
+
+def _rising_row(scale: Fraction, s: Fraction, degree_cap: int) -> tuple[Fraction, ...]:
+    """scale * rising(s, n)/n!, n = 0..degree_cap, by integer recurrences: one reduction each."""
+    num, den = scale.numerator, scale.denominator
+    row = []
+    for n in range(degree_cap + 1):
+        row.append(Fraction(num, den))
+        num *= s.numerator + n * s.denominator
+        den *= s.denominator * (n + 1)
+    return tuple(row)
 
 
 def _dense(index, values: np.ndarray) -> np.ndarray:
@@ -118,38 +129,41 @@ def ball_h_coefficients(d: int, k, degree_cap: int) -> dict[tuple[int, ...], Fra
     k = Fraction(k)
     if k <= 0:
         raise NonpositiveParameterError(f"weight k must be positive, got {k}")
-    s = (d + 1) * k
-    rising_by_degree = [Fraction(1)]
-    for n in range(degree_cap):
-        rising_by_degree.append(rising_by_degree[-1] * (s + n))
-    out: dict[tuple[int, ...], Fraction] = {}
-    for idx in multi_index_enumerate(d, degree_cap):
-        denom = 1
-        for part in idx:
-            denom *= math.factorial(part)
-        out[idx] = rising_by_degree[sum(idx)] / denom
-    return out
+    row = _rising_row(Fraction(1), (d + 1) * k, degree_cap)
+    return {index: row[degree] * multinomial
+            for index, degree, multinomial in _multinomials(d, degree_cap)}
 
 
 @dataclass(frozen=True)
 class ImmersionCoefficients:
     """Squared moduli of the Hartogs immersion components over a ball base.
 
-    entries maps (z multi-index, w power) to the exact coefficient; pairs are
-    truncated at total degree |mz| + mw <= cutoff.
+    Pairs (z multi-index mz, w power mw) are truncated at |mz| + mw <= cutoff:
+        entries[(mz, mw)] = slice_factors[mw][|mz|] * |mz|!/prod_i mz_i!,
+        slice_factors[mw][n] = rising(alpha, mw)/mw! * rising(mu(alpha+mw), n)/n!.
+    entries (mw-major, then multi_index_enumerate order) is expanded on first
+    access; entry_count is its length.
     """
 
     spec: HartogsSpec
     cutoff: int
-    entries: dict[tuple[tuple[int, ...], int], Fraction]
+    slice_factors: tuple[tuple[Fraction, ...], ...]
+    entry_count: int
+
+    @cached_property
+    def entries(self) -> dict[tuple[tuple[int, ...], int], Fraction]:
+        d = self.spec.base.dim
+        terms = _multinomials(d, self.cutoff)  # by degree: the first C(c+d, d) have |m| <= c
+        return {(index, mw): row[degree] * multinomial
+                for mw, row in enumerate(self.slice_factors)
+                for index, degree, multinomial in terms[:math.comb(len(row) - 1 + d, d)]}
 
 
 def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients:
-    """Exact squared coefficients for a ball-base Hartogs immersion.
+    """Exact slice factors for a ball-base Hartogs immersion.
 
-    entries[(mz, mw)] = rising(alpha, mw)/mw! * c_mz at weight
-    mu(alpha+mw)/(d+1); the fiber weights at mz = 0 are the factors
-    rising(alpha, mw)/mw! themselves.
+    Row mw is the fiber weight rising(alpha, mw)/mw! (its n = 0 entry) times
+    the ball slice rising(mu(alpha+mw), n)/n!, n = 0..degree_cap-mw.
     """
     if not spec.base.is_ball:
         raise BallNotAllowedError(
@@ -160,14 +174,10 @@ def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients
     d = spec.base.dim
     count = math.comb(degree_cap + d + 1, d + 1)
     _check_size("degree_cap", degree_cap, count, "entries", _MAX_ENTRIES)
-    entries: dict[tuple[tuple[int, ...], int], Fraction] = {}
-    for mw in range(degree_cap + 1):
-        weight = rising(spec.alpha, mw) / math.factorial(mw)
-        k = spec.mu * (spec.alpha + mw) / (d + 1)
-        ball_part = ball_h_coefficients(d, k, degree_cap - mw)
-        for mz, coeff in ball_part.items():
-            entries[(mz, mw)] = weight * coeff
-    return ImmersionCoefficients(spec, degree_cap, entries)
+    weights = _rising_row(Fraction(1), spec.alpha, degree_cap)
+    slice_factors = tuple(_rising_row(weight, spec.mu * (spec.alpha + mw), degree_cap - mw)
+                          for mw, weight in enumerate(weights))
+    return ImmersionCoefficients(spec, degree_cap, slice_factors, count)
 
 
 @dataclass(frozen=True)
@@ -228,10 +238,12 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
 
     Each sample is (z, w) with z a scalar (d=1) or a coordinate tuple.  Points
     must lie strictly inside the domain.  The truncated sum is evaluated at
-    all samples one fiber power mw at a time: the coefficients of that mw go
-    into a dense array indexed by mz, one _power_sum call evaluates it at the
-    bases (|z_1|^2, ..., |z_d|^2), and the result is weighted by |w|^(2 mw).
-    So the dense array holds (cap+1)^d cells at most, not (cap+1)^(d+1).
+    all samples one fiber power mw at a time: the dense array indexed by mz
+    holds float(slice_factors[mw][|mz|]) times a float table of the exact
+    multinomials, built once per call, so entries is never expanded.  One
+    _power_sum call evaluates it at the bases (|z_1|^2, ..., |z_d|^2), and the
+    result is weighted by |w|^(2 mw).  So the dense array holds (cap+1)^d
+    cells at most, not (cap+1)^(d+1).
     The returned tail_bound is the analytic truncation bound at the worst
     sample, relative to the target value, and the measured error must stay
     below it (up to float roundoff).
@@ -264,12 +276,16 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     y = bases[:, d]
     n_mu = (1.0 - x) ** mu
     target = (n_mu - y) ** (-alpha)
+    terms = _multinomials(d, coeffs.cutoff)
+    multinomials = _dense([term[0] for term in terms], np.array([float(term[2]) for term in terms]))
+    degrees = np.indices(multinomials.shape).sum(axis=0)
     total = np.zeros(len(points))
-    # entries come grouped by mw; a split group would only cost an extra call
-    for mw, fiber in itertools.groupby(coeffs.entries.items(), key=lambda item: item[0][1]):
-        keys, values = zip(*fiber)
-        coef = _dense([mz for mz, _ in keys], np.fromiter(map(float, values), float, len(values)))
-        total += y**mw * _power_sum(coef, bases[:, :d])
+    for mw, row in enumerate(coeffs.slice_factors):
+        box = (slice(len(row)),) * d
+        # degrees in the box reach d*(len(row)-1); the factors past the row are zero
+        factors = np.zeros(d * len(row))
+        factors[:len(row)] = row
+        total += y**mw * _power_sum(factors[degrees[box]] * multinomials[box], bases[:, :d])
     rel = np.abs(total - target) / target
     worst = int(np.argmax(rel))
     q_max = float(max(x.max(), (y / n_mu).max()))

@@ -309,7 +309,7 @@ def _cmd_immersion(args):
     spec = HartogsSpec(ball(args.d), args.mu, args.alpha)
     coeffs = build_immersion(spec, args.cap)
     payload = {"d": args.d, "mu": args.mu, "alpha": args.alpha, "cap": args.cap,
-               "entries": len(coeffs.entries), "check": None}
+               "entries": coeffs.entry_count, "check": None}
     lines = [f"spec: {spec.label}", "squared coefficients up to total degree {cap}: {entries}"]
     if args.check_grid is not None:
         import numpy as np

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -43,6 +45,16 @@ def test_multi_index_count():
     for d in (1, 2, 3):
         for cap in (0, 1, 4, 7):
             assert len(multi_index_enumerate(d, cap)) == math.comb(cap + d, d)
+
+
+def test_multi_index_matches_sorted_reference():
+    # the order as documented: by total degree, then by the reversed tuple
+    for d, cap in ((1, 5), (2, 9), (3, 6), (4, 4)):
+        reference = sorted(
+            (m for m in itertools.product(range(cap + 1), repeat=d) if sum(m) <= cap),
+            key=lambda m: (sum(m), m[::-1]),
+        )
+        assert multi_index_enumerate(d, cap) == reference
 
 
 def test_ball_coefficients_one_variable():
@@ -103,6 +115,52 @@ def test_immersion_entry_count_and_positivity():
     assert len(coeffs.entries) == 62 * 61 // 2
     assert all(c > 0 for c in coeffs.entries.values())
     assert coeffs.cutoff == 60
+
+
+@pytest.mark.parametrize("d, cap", [(1, 12), (2, 10), (3, 7)])
+@pytest.mark.parametrize(
+    "mu, alpha", [(F(1), F(3)), (F(2), F(5)), (F(3, 2), F(5, 2)), (F(2, 3), F(7, 4))]
+)
+def test_immersion_entries_match_exact_oracle(d, cap, mu, alpha):
+    # each entry straight from the formula, not through the slice factors
+    coeffs = build_immersion(HartogsSpec(ball(d), mu, alpha), cap)
+    keys = list(coeffs.entries)
+    assert keys == sorted(
+        ((mz, mw) for mw in range(cap + 1)
+         for mz in itertools.product(range(cap + 1 - mw), repeat=d) if sum(mz) <= cap - mw),
+        key=lambda key: (key[1], sum(key[0]), key[0][::-1]),
+    )
+    assert coeffs.entry_count == len(keys) == math.comb(cap + d + 1, d + 1)
+    for (mz, mw), c in coeffs.entries.items():
+        expected = rising(alpha, mw) / math.factorial(mw) * rising(mu * (alpha + mw), sum(mz))
+        assert c == expected / math.prod(math.factorial(part) for part in mz), (mz, mw)
+
+
+def test_immersion_entries_are_lazy():
+    spec = HartogsSpec(ball(2), F(3, 2), F(4))
+    tracemalloc.start()
+    try:
+        coeffs = build_immersion(spec, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 39,711 eager entries peaked at 9.0 MB; the 1,891 slice factors take ~0.2 MB
+    assert peak < 1e6, peak
+    verify_pullback(coeffs, [((0.2, 0.1), 0.3)])
+    assert "entries" not in vars(coeffs)
+    assert len(coeffs.entries) == coeffs.entry_count == 39_711
+
+
+def test_pullback_reads_the_slice_factors():
+    # one low-degree factor off by 1e-6 must show far above the tail bound
+    coeffs = build_immersion(HartogsSpec(ball(2), F(1), F(4)), 40)
+    sample = [((0.2, 0.1), 0.3)]
+    assert verify_pullback(coeffs, sample).max_rel_error < 1e-13
+    rows = list(coeffs.slice_factors)
+    rows[1] = (rows[1][0], rows[1][1] * (1 + F(1, 10**6)), *rows[1][2:])
+    check = verify_pullback(dataclasses.replace(coeffs, slice_factors=tuple(rows)), sample)
+    assert check.max_rel_error > check.tail_bound + 1e-13
+    assert check.max_rel_error > 1e-8
 
 
 def test_immersion_needs_ball_base():
