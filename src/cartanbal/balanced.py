@@ -23,13 +23,17 @@ N at exponent mu(alpha+m) - gamma.  The consecutive ratio
     R(m) = I(m+1)/I(m)
          = (alpha+m)/(alpha-dim+m) * M(mu(alpha+m)+mu-gamma)/M(mu(alpha+m)-gamma)
 
-is a rational function of m in factored form, and balancedness is exactly
-R identically 1.  The displayed level quantity final_quantity(m) (numerator
-prod_{i=1..dim}(alpha+m-i), denominator with one linear factor per dimension)
-satisfies R(m) = final_quantity(m+1)/final_quantity(m) identically, so the
-two constancy tests must agree; hartogs_balanced asserts this against the
-closed-form characterization (balanced iff the base is a ball, mu = 1 and
-alpha > dim+1) and raises InternalConsistencyError on any disagreement.
+telescopes into R(m) = final_quantity(m+1)/final_quantity(m), with the
+level quantity final_quantity(m) (numerator prod_{i=1..dim}(alpha+m-i),
+denominator one linear factor per dimension).  A rational function whose
+unit step ratio is constant is itself constant, so balancedness is exactly
+the constancy of final_quantity in m.  hartogs_balanced decides it on that
+one factored rational, reads an m-dependence witness off its values, and
+asserts the verdict against the closed-form characterization (balanced iff
+the base is a ball, mu = 1 and alpha > dim+1), raising
+InternalConsistencyError on any disagreement.  norm_chain_ratio builds R(m)
+from the moment ratio, as the first-principles route the tests compare
+against; no verdict calls it.
 
 Note on degrees: numerator and denominator of final_quantity both have
 degree dim for every catalog entry, so a degree comparison alone carries no
@@ -107,9 +111,10 @@ class HartogsSpec:
 class BalancedVerdict:
     """One Hartogs verdict; its fields are the balanced-hartogs CLI payload.
 
-    ratio_constant (the constancy of the norm-chain ratio) is read off the
-    reason: True for ok, False for m_dependence, None when a necessary
-    inequality fails and the ratio is undefined.
+    ratio_constant (the constancy of the level quantity, equivalently of the
+    norm-chain ratio) is read off the reason: True for ok, False for
+    m_dependence, None when a necessary inequality fails and the ratio is
+    undefined.
     """
 
     balanced: bool
@@ -210,62 +215,47 @@ def _closed_form_balanced(spec: HartogsSpec) -> bool:
 
 
 def hartogs_balanced(spec: HartogsSpec) -> BalancedVerdict:
-    """Balancedness verdict, computed two ways and cross-asserted.
+    """Balancedness verdict from the level quantity, cross-asserted.
 
-    Route (1): necessary inequalities, then exact constancy of the
-    norm-chain ratio, with an m-dependence witness extracted from the level
-    quantity.  Route (2): the closed-form rule.  Disagreement raises
-    InternalConsistencyError (it must never fire).
+    Route (1): the necessary inequalities, then the exact constancy of
+    final_quantity in m.  A non-constant level quantity has numerator and
+    denominator degree dim, so it cannot take its m=0 value at all of
+    m = 1..dim+1; the smallest m where it moves is the witness.  Denominator
+    factors are positive at integer m >= 0 under the inequalities, so no
+    pole can occur there (asserted defensively).  Route (2): the closed-form
+    rule.  Disagreement raises InternalConsistencyError (it must never fire).
     """
     need_alpha, need_mix = hartogs_necessary(spec)
     if not need_alpha:
         verdict = BalancedVerdict(False, REASON_ALPHA)
     elif not need_mix:
         verdict = BalancedVerdict(False, REASON_ALPHA_MU)
+    elif (quantity := final_quantity(spec)).is_constant()[0]:
+        verdict = BalancedVerdict(True, REASON_OK)
     else:
-        ratio = norm_chain_ratio(spec)
-        constant, value = ratio.is_constant()
-        if constant:
-            if value != 1:
+        try:
+            value_0 = quantity.eval_at(0)
+            for m in range(1, spec.base.dim + 2):
+                value_m = quantity.eval_at(m)
+                if value_m != value_0:
+                    verdict = BalancedVerdict(False, REASON_M_DEPENDENCE, m, value_0, value_m)
+                    break
+            else:
                 raise InternalConsistencyError(
-                    f"constant norm-chain ratio with value {value} != 1 for "
-                    f"{spec.label}"
+                    f"level quantity non-constant but no witness found for {spec.label}"
                 )
-            verdict = BalancedVerdict(True, REASON_OK)
-        else:
-            verdict = _m_dependence_verdict(spec)
+        except PoleError as exc:  # pragma: no cover - guarded by preconditions
+            raise InternalConsistencyError(
+                f"unexpected pole while searching m-dependence witness for "
+                f"{spec.label}: {exc}"
+            ) from exc
     expected = _closed_form_balanced(spec)
     if verdict.balanced != expected:
         raise InternalConsistencyError(
             f"balancedness routes disagree for {spec.label}: "
-            f"chain-ratio route says {verdict.balanced}, closed form says {expected}"
+            f"level-quantity route says {verdict.balanced}, closed form says {expected}"
         )
     return verdict
-
-
-def _m_dependence_verdict(spec: HartogsSpec) -> BalancedVerdict:
-    """Locate the smallest m >= 1 where the level quantity moves.
-
-    The level quantity has numerator and denominator degree dim, so if it is
-    non-constant it cannot take its m=0 value at all of m = 1..dim+1.
-    Denominator factors are positive at integer m >= 0 under the convergence
-    inequalities, so evaluation cannot hit a pole; asserted defensively.
-    """
-    quantity = final_quantity(spec)
-    try:
-        value_0 = quantity.eval_at(0)
-        for m in range(1, spec.base.dim + 2):
-            value_m = quantity.eval_at(m)
-            if value_m != value_0:
-                return BalancedVerdict(False, REASON_M_DEPENDENCE, m, value_0, value_m)
-    except PoleError as exc:  # pragma: no cover - guarded by preconditions
-        raise InternalConsistencyError(
-            f"unexpected pole while searching m-dependence witness for "
-            f"{spec.label}: {exc}"
-        ) from exc
-    raise InternalConsistencyError(
-        f"norm-chain ratio non-constant but no witness found for {spec.label}"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from cartanbal.balanced import (
     balanced_scan,
     cartan_balanced,
     corollary_scan,
+    default_scan_alphas,
+    default_scan_mus,
     final_quantity,
     hartogs_balanced,
     hartogs_necessary,
@@ -76,21 +78,17 @@ def test_norm_chain_ratio_preconditions():
 
 
 def test_norm_chain_ratio_equals_final_quantity_step():
-    # R(m) = FQ(m+1)/FQ(m) as exact rational functions
-    cases = [
-        (ball(1), F(2), F(4)),
-        (ball(2), F(1), F(5)),
-        (ball(3), F(3, 2), F(6)),
-        (parse_domain("I:2,2"), F(1), F(13, 2)),
-        (parse_domain("II:3"), F(4, 5), F(9)),
-        (parse_domain("IV:5"), F(2), F(7)),
-        (make_domain("V"), F(1), F(18)),
-    ]
-    for dom, mu, alpha in cases:
-        spec = HartogsSpec(dom, mu, alpha)
-        fq = final_quantity(spec)
-        stepped = fq.compose_affine(1, 1)
-        assert norm_chain_ratio(spec) == stepped / fq, (dom.label, mu, alpha)
+    # R(m) = FQ(m+1)/FQ(m) as exact rational functions, on every (domain, mu)
+    # of the default scan grid; this identity is why a verdict may test the
+    # constancy of FQ alone
+    for dom in enumerate_catalog(27):
+        alpha = max(default_scan_alphas(dom))
+        for mu in default_scan_mus(dom):
+            spec = HartogsSpec(dom, mu, alpha)
+            assert hartogs_necessary(spec) == (True, True), spec.label
+            fq = final_quantity(spec)
+            stepped = fq.compose_affine(1, 1)
+            assert norm_chain_ratio(spec) == stepped / fq, spec.label
 
 
 def test_norm_chain_ratio_balanced_cases():
@@ -120,17 +118,51 @@ def test_hartogs_balanced_reasons():
 
 def test_verdict_carries_chain_ratio_constancy():
     # the verdict's ratio_constant is the chain ratio's constancy, and None
-    # exactly when a necessary inequality fails and the ratio is undefined
+    # exactly when a necessary inequality fails and the ratio is undefined;
+    # an m_dependence witness is the first m where FQ leaves FQ(0), and the
+    # verdict carries FQ's values at 0 and there
     for dom in enumerate_catalog(6):
         for mu in (F(1, 2), F(1), F(2)):
             for alpha in (F(dom.dim, 2), dom.dim + F(3, 2), F(2 * dom.dim + 3)):
                 spec = HartogsSpec(dom, mu, alpha)
                 verdict = hartogs_balanced(spec)
-                if all(hartogs_necessary(spec)):
-                    assert verdict.ratio_constant == norm_chain_ratio(spec).is_constant()[0]
-                    assert verdict.ratio_constant == verdict.balanced
-                else:
+                if not all(hartogs_necessary(spec)):
                     assert verdict.ratio_constant is None
+                    continue
+                assert verdict.ratio_constant == norm_chain_ratio(spec).is_constant()[0]
+                assert verdict.ratio_constant == verdict.balanced
+                if verdict.balanced:
+                    continue
+                fq = final_quantity(spec)
+                value_0 = fq.eval_at(0)
+                moves = (m for m in range(1, dom.dim + 2) if fq.eval_at(m) != value_0)
+                first_move = next(moves, None)
+                assert verdict.witness_m == first_move, spec.label
+                assert verdict.value_at_0 == value_0, spec.label
+                assert verdict.value_at_witness == fq.eval_at(first_move), spec.label
+
+
+def test_verdicts_never_build_the_chain_ratio(monkeypatch):
+    # a verdict builds final_quantity and nothing else; the chain ratio and
+    # the moment ratio are the first-principles route of the tests only
+    expected_scan, expected_corollary = balanced_scan(8), corollary_scan(8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verdict built the norm-chain or moment ratio")
+
+    monkeypatch.setattr("cartanbal.balanced.norm_chain_ratio", refuse)
+    monkeypatch.setattr("cartanbal.balanced.moment_ratio", refuse)
+    specs = {
+        REASON_OK: HartogsSpec(ball(2), F(1), F(4)),
+        REASON_ALPHA: HartogsSpec(ball(1), F(1), F(2)),
+        REASON_ALPHA_MU: HartogsSpec(parse_domain("I:2,2"), F(1, 3), F(6)),
+        REASON_M_DEPENDENCE: HartogsSpec(make_domain("VI"), F(1), F(30)),
+    }
+    for reason, spec in specs.items():
+        assert hartogs_balanced(spec).reason == reason, spec.label
+    assert balanced_scan(8) == expected_scan
+    report = corollary_scan(8)
+    assert report == expected_corollary and report.all_ok
 
 
 def test_lemma_order_of_reasons():
@@ -180,7 +212,7 @@ def test_scan_explicit_grids():
 
 
 def test_scan_dim_cap_limit():
-    # alpha = 1/2 fails the necessary inequality, so each row costs no chain ratio
+    # alpha = 1/2 fails the necessary inequality, so each row costs no level quantity
     rows = balanced_scan(100, mus=[F(1)], alphas=[F(1, 2)])
     assert len(rows) == len(enumerate_catalog(100))
     with pytest.raises(ValueError, match="dim_cap=101 needs"):

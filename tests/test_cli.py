@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -614,6 +615,28 @@ def test_cli_golden_output(monkeypatch, tmp_path):
             _same_lines(got["stdout"], want["stdout"], where)
         if "csv" in want:
             _same_lines(got["csv"], want["csv"], where + " (csv)")
+
+
+# sha256 of the stdout of the default scan grids at dim cap 27.  Unlike the
+# golden file, these pin the large outputs, so that a change to how verdicts
+# are computed cannot move a byte of any row.
+_SCAN_DIGESTS = {
+    ("scan", "--dim-cap", "27", "--json"):
+        "9658f7811c9c6b1f77bd3729208554b93f01dd7f1cdd003508b841e195d24a7b",
+    ("scan", "--dim-cap", "27"):
+        "6bdd9d97f968166e5cd5a49d07d1dbfa8b438d6d2feaa86e89292a24c9582253",
+    ("scan", "--dim-cap", "27", "--extended-alphas", "--json"):
+        "544d024e3cea15183910afeb8a91989691d5291d9d34197f25dca3b14e522286",
+    ("corollary-scan", "--dim-cap", "27", "--json"):
+        "f09cd8820998b7b2ea30134510aa9ea7534310d99a4abc65877aecf588670454",
+}
+
+
+def test_scan_outputs_match_pinned_digests(capsys):
+    for argv, digest in _SCAN_DIGESTS.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 if __name__ == "__main__":
