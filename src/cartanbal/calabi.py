@@ -28,6 +28,7 @@ the exact code paths never pay for it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -191,6 +192,8 @@ class PullbackCheck:
 def _as_point(z, d: int) -> tuple[complex, ...]:
     if d == 1 and not isinstance(z, (tuple, list)):
         return (complex(z),)
+    if isinstance(z, numbers.Number):
+        raise SampleOutsideDomainError(f"z must have {d} coordinates, got the scalar {z!r}")
     z = tuple(complex(part) for part in z)
     if len(z) != d:
         raise SampleOutsideDomainError(f"z must have {d} coordinates, got {len(z)}")
@@ -266,7 +269,7 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
         moduli = [abs(part) ** 2 for part in _as_point(z, d)]
         x = sum(moduli)
         y = abs(complex(w)) ** 2
-        if x >= 1.0 or y >= (1.0 - x) ** mu:
+        if not (x < 1.0 and y < (1.0 - x) ** mu):
             raise SampleOutsideDomainError(
                 f"sample z={z!r}, w={w!r} lies outside |w|^2 < (1-|z|^2)^mu < 1"
             )

@@ -20,14 +20,15 @@ is pi^k times a product of Beta values:
   ball(2):       pi^2 B(m1+1, m2+1) B(m1+m2+2, alpha-2)
   Hartogs disc:  pi^2 B(m+1, alpha-2) B(j+1, mu(alpha+m)-1)
 
-Each setting's norms are one array expression in scipy.special.betaln.  The
-tests check them against nested adaptive quadrature of the unfactorised
-integrals and against high-precision Beta values.
+Each first Beta argument is an integer, so the norms are read from _log_beta
+tables: B(n+1, c) = B(n, c) n/(n+c) summed in logs.  The tests check them
+against nested quadrature of the unfactorised integrals and mpmath Beta values.
 
 Divergent norms are never reported as numbers.  Each setting tests its exact
 integrability threshold once, where its norms are built (alpha > d for the
 ball; alpha > 2 and alpha*mu > 1 for the Hartogs disc), and every evaluator
-raises that setting's one TrivialSpaceError through _require_convergent.
+raises that setting's one TrivialSpaceError (or, for another setting's norms,
+ValueError) through _require_convergent.
 
 The epsilon function of the weight is
 
@@ -47,10 +48,10 @@ either way reads the same.  The Hartogs tail bound is one array expression
 over (grid points x fiber powers).  Sizes (norms, grid points, evaluation
 arrays) are checked against module limits before any norm is built.
 
-numpy and scipy.special are imported inside the functions that call them
-(WeightedBasisNorms._inverse, the two norm builders, the two grid functions
-and _hartogs_tail_bound), not at module level, so the numeric stack loads on
-the first numeric call and never on the exact code paths.
+numpy, the only numeric dependency, is imported inside the functions that call
+it (WeightedBasisNorms._inverse, the norm builders, the grid functions, the
+tail bound and the two log helpers), not at module level, so it loads on the
+first numeric call and never on the exact code paths.
 """
 
 from __future__ import annotations
@@ -121,7 +122,9 @@ _DIVERGENT = {
 }
 
 
-def _require_convergent(norms: WeightedBasisNorms) -> None:
+def _require_convergent(norms: WeightedBasisNorms, setting: str) -> None:
+    if norms.setting != setting:
+        raise ValueError(f"needs {setting} norms, got {norms.setting} norms")
     if norms.divergent:
         raise TrivialSpaceError(_DIVERGENT[norms.setting].format(*norms.params))
 
@@ -190,6 +193,27 @@ def constancy_verdict(spread: float) -> str:
     return "inconclusive"
 
 
+def _log_beta(n_max: int, c) -> np.ndarray:
+    """log B(n+1, c) for n = 0..n_max along axis 0, for every c > 0 of the array c.
+
+    B(1, c) = 1/c and B(n+1, c) = B(n, c) n/(n+c), so the table is -log c plus
+    the cumulative sum of -log1p(c/k), k = 1..n.
+    """
+    import numpy as np
+
+    c = np.asarray(c, dtype=float)
+    k = np.arange(1.0, n_max + 1.0).reshape(-1, *(1,) * c.ndim)
+    return np.cumsum(np.concatenate([-np.log(c)[None], -np.log1p(c / k)]), axis=0)
+
+
+def _xlogy(x, y) -> np.ndarray:
+    """x log y with 0 log 0 = 0 and log 0 = -inf, raising no numpy warning."""
+    import numpy as np
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
 # ---------------------------------------------------------------------------
 # ball norms and epsilon
 
@@ -205,7 +229,6 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
          keys all multi-indices with |m| <= degree_cap.
     """
     import numpy as np
-    from scipy.special import betaln
 
     alpha = float(alpha)
     if d not in (1, 2):
@@ -220,22 +243,23 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
         return WeightedBasisNorms("ball", (d, alpha), {}, True)
     if d == 1:
         keys = range(degree_cap + 1)
-        log_beta = betaln(np.arange(degree_cap + 1.0) + 1.0, alpha - 1.0)
+        log_beta = _log_beta(degree_cap, alpha - 1.0)
     else:
         keys = multi_index_enumerate(2, degree_cap)
-        m1, m2 = np.array(keys, dtype=float).T
-        log_beta = betaln(m1 + 1.0, m2 + 1.0) + betaln(m1 + m2 + 2.0, alpha - 2.0)
+        m1, m2 = np.array(keys).T
+        log_beta = (_log_beta(degree_cap, np.arange(1.0, degree_cap + 2.0))[m1, m2]
+                    + _log_beta(degree_cap + 1, alpha - 2.0)[m1 + m2 + 1])
     norms = math.pi**d * np.exp(log_beta)
     return WeightedBasisNorms("ball", (d, alpha), dict(zip(keys, norms.tolist())), False)
 
 
 def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
     """epsilon at one point of the ball, from precomputed norms."""
-    _require_convergent(norms)
+    _require_convergent(norms, "ball")
     d, alpha = norms.params
     moduli = [abs(p) ** 2 for p in _as_point(z, d)]
     t = sum(moduli)
-    if t >= 1.0:
+    if not t < 1.0:
         raise SampleOutsideDomainError(f"|z|^2 = {t} is not < 1")
     return (1.0 - t) ** alpha * float(_power_sum(norms._inverse, [moduli])[0])
 
@@ -262,7 +286,7 @@ def epsilon_ball(
     cells = grid_points * (degree_cap + 2)
     _check_size("degree_cap", degree_cap, cells, f"cells on {grid_points} points", _MAX_GRID_CELLS)
     norms = ball_monomial_norms(d, alpha, degree_cap)
-    _require_convergent(norms)
+    _require_convergent(norms, "ball")
     radii = np.linspace(0.0, grid_rmax, grid_points)
     t = radii**2
     bases = np.outer(t, [1.0] if d == 1 else [0.5, 0.5])
@@ -293,7 +317,6 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     the t integral needs mu(alpha+m) > 1 for all m >= 0, i.e. alpha*mu > 1.
     """
     import numpy as np
-    from scipy.special import betaln
 
     mu, alpha = float(mu), float(alpha)
     cap_z, cap_w = caps
@@ -306,9 +329,8 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     _check_size("caps", (cap_z, cap_w), (cap_z + 1) * (cap_w + 1), "norms", _MAX_NORMS)
     if alpha <= 2 or alpha * mu <= 1:
         return WeightedBasisNorms("hartogs-disc", (mu, alpha), {}, True)
-    m = np.arange(cap_w + 1.0)[:, None]
-    j = np.arange(cap_z + 1.0)
-    log_beta = betaln(m + 1.0, alpha - 2.0) + betaln(j + 1.0, mu * (alpha + m) - 1.0)
+    c = mu * (alpha + np.arange(cap_w + 1.0)) - 1.0
+    log_beta = _log_beta(cap_w, alpha - 2.0)[:, None] + _log_beta(cap_z, c).T  # [m, j]
     keys = [(j, m) for m in range(cap_w + 1) for j in range(cap_z + 1)]
     norms = math.pi**2 * np.exp(log_beta).ravel()
     return WeightedBasisNorms("hartogs-disc", (mu, alpha), dict(zip(keys, norms.tolist())), False)
@@ -316,11 +338,11 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
 
 def epsilon_point_hartogs(norms: WeightedBasisNorms, z, w) -> float:
     """epsilon at one point (z, w) of the Hartogs disc domain."""
-    _require_convergent(norms)
+    _require_convergent(norms, "hartogs-disc")
     mu, alpha = norms.params
     t = abs(complex(z)) ** 2
     y = abs(complex(w)) ** 2
-    if t >= 1.0 or y >= (1.0 - t) ** mu:
+    if not (t < 1.0 and y < (1.0 - t) ** mu):
         raise SampleOutsideDomainError(
             f"(z, w) with |z|^2={t}, |w|^2={y} lies outside the domain"
         )
@@ -338,7 +360,7 @@ def epsilon_hartogs_disc(
     cells = grid.nz * grid.nw * (max(caps) + 2)
     _check_size("caps", caps, cells, f"cells on a {grid.nz}x{grid.nw} grid", _MAX_GRID_CELLS)
     norms = hartogs_disc_norms(mu, alpha, caps)
-    _require_convergent(norms)
+    _require_convergent(norms, "hartogs-disc")
     mu, alpha = norms.params
     if (1.0 - grid.t_max) ** mu == 0.0:
         raise SampleOutsideDomainError(f"(1-t_max)^mu is 0 in floats: t_max={grid.t_max}, mu={mu}")
@@ -364,24 +386,24 @@ def _hartogs_tail_bound(t, y, mu: float, alpha: float, cap_z: int, cap_w: int) -
       (y/(1-t)^mu) (m+alpha-1)/(m+1) * c_(m+1)/c_m, or inf if that is >= 1.
 
     Pieces are formed in logs with the weight ((1-t)^mu - y)^alpha folded in;
-    xlogy gives 0 log 0 = 0, so t = 0 and y = 0 need no special case.  The
-    pieces are updated in place, so at most three (points x powers) arrays live.
+    _xlogy gives 0 log 0 = 0 and log 0 = -inf, so t = 0 and y = 0 need no special
+    case.  B(m+1, alpha-2) and B(cap_z+2, c_m) are read from _log_beta tables.
+    The pieces are updated in place, so at most three (points x powers) arrays live.
     """
     import numpy as np
-    from scipy.special import betaln, xlogy
 
     t, y = t[:, None], y[:, None]
     m = np.arange(cap_w + 2.0)
     c = mu * (alpha + m) - 1.0
-    log_weight = xlogy(alpha, (1.0 - t) ** mu - y) - 2.0 * math.log(math.pi)
-    log_w = xlogy(m, y)
+    log_weight = _xlogy(alpha, (1.0 - t) ** mu - y) - 2.0 * math.log(math.pi)
+    log_w = _xlogy(m, y)
     log_w += log_weight
-    log_w -= betaln(m + 1.0, alpha - 2.0)
+    log_w -= _log_beta(cap_w + 1, alpha - 2.0)
     log_full = log_w + np.log(c)
     log_full -= (c + 1.0) * np.log1p(-t)
     log_first = log_w  # the first omitted term of each piece, in place
-    log_first += xlogy(cap_z + 1, t)
-    log_first -= betaln(cap_z + 2, c)
+    log_first += _xlogy(cap_z + 1, t)
+    log_first -= _log_beta(cap_z + 1, c)[-1]
     log_first[:, -1:] = log_full[:, -1:]
     ratio = t * (cap_z + 2 + c)
     ratio /= cap_z + 2

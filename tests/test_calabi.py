@@ -248,10 +248,6 @@ def test_hartogs_tail_bound_memory_is_bounded():
     # the bound updates them in place and keeps at most three alive
     t = np.repeat(np.linspace(0.0, 0.35, 32), 32)
     y = np.tile(np.linspace(0.0, 0.5, 32), 32) * (1.0 - t) ** 2.0
-    # one untraced call first: the bound imports scipy.special on its first
-    # call, and that import alone would exceed the bound when this file runs
-    # before any other loads scipy
-    _hartogs_tail_bound(t[:1], y[:1], 2.0, 4.0, 80, 80)
     tracemalloc.start()
     try:
         tail = _hartogs_tail_bound(t, y, 2.0, 4.0, 80, 80)
@@ -271,6 +267,19 @@ def test_pullback_rejects_outside_samples():
         verify_pullback(coeffs, [(1.0, 0.0)])
     with pytest.raises(ValueError):
         verify_pullback(coeffs, [])
+
+
+@pytest.mark.parametrize("sample", [(math.nan, 0.1), (0.1, math.nan), (complex(math.nan, 0.1), 0.1)])
+def test_pullback_rejects_nan_samples(sample):
+    coeffs = build_immersion(HartogsSpec(ball(1), F(2), F(3)), 20)
+    with pytest.raises(SampleOutsideDomainError):
+        verify_pullback(coeffs, [sample])
+
+
+def test_pullback_rejects_a_scalar_z_over_a_larger_ball():
+    coeffs = build_immersion(HartogsSpec(ball(2), F(1), F(4)), 10)
+    with pytest.raises(SampleOutsideDomainError, match="z must have 2 coordinates"):
+        verify_pullback(coeffs, [(0.1, 0.1)])
 
 
 def test_truncation_is_monotone():

@@ -355,10 +355,12 @@ def test_oversized_check_grid_is_refused_at_once(capsys):
 
 
 # Runs in a fresh interpreter: the package and each exact subcommand must load
-# neither numpy nor scipy; a numeric subcommand then loads scipy.special (and
-# still not scipy.integrate: the norms are closed-form Beta values).
+# neither numpy nor scipy; a numeric subcommand then loads numpy and still no
+# scipy module: numpy is the only runtime dependency.  A preamble may block
+# imports before the package loads.
 _NUMERIC_STACK_PROBE = """
 import contextlib, io, json, sys
+{preamble}
 
 def numeric_modules():
     return sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy"))
@@ -374,6 +376,20 @@ print(json.dumps(steps))
 """
 
 
+def _probe_numeric_stack(argvs, preamble=""):
+    """[argv, exit code, loaded numpy/scipy modules] per step of _NUMERIC_STACK_PROBE."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMERIC_STACK_PROBE.format(preamble=preamble), json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
 def test_exact_path_leaves_numeric_stack_out():
     exact = [
         (["catalog"], 0),
@@ -385,24 +401,27 @@ def test_exact_path_leaves_numeric_stack_out():
         (["immersion", "--mu", "1", "--alpha", "3", "--cap", "10"], 0),
     ]
     numeric = ["epsilon-hartogs", "--mu", "1", "--alpha", "3", "--grid", "2x2", "--caps", "8,8"]
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argvs = [argv for argv, _ in exact] + [numeric]
-    done = subprocess.run(
-        [sys.executable, "-c", _NUMERIC_STACK_PROBE, json.dumps(argvs)],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    steps = json.loads(done.stdout)
+    steps = _probe_numeric_stack(argvs)
     assert len(steps) == len(argvs) + 1
     assert steps[0] == ["import cartanbal", None, []]
     for (argv, code), step in zip(exact, steps[1:]):
         assert step == [" ".join(argv), code, []]
     _, code, loaded = steps[-1]
     assert code == 0
-    assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+    assert {name.partition(".")[0] for name in loaded} == {"numpy"}
+
+
+def test_numeric_subcommands_run_without_scipy():
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    argvs = [
+        ["epsilon-hartogs", "--mu", "1", "--alpha", "3", "--grid", "2x2", "--caps", "8,8"],
+        ["epsilon-ball", "--d", "2", "--alpha", "3.5", "--cap", "20"],
+        ["immersion", "--d", "2", "--mu", "3/2", "--alpha", "4", "--cap", "20",
+         "--check-grid", "0.4:3"],
+    ]
+    steps = _probe_numeric_stack(argvs, preamble='sys.modules["scipy"] = None')
+    assert [step[:2] for step in steps[1:]] == [[" ".join(argv), 0] for argv in argvs]
 
 
 def test_csv_write_failure_is_an_error(tmp_path, capsys):

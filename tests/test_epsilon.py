@@ -3,6 +3,7 @@ import math
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -13,6 +14,7 @@ from cartanbal.epsilon import (
     SPREAD_NONCONSTANT,
     DiscGrid,
     EpsilonReport,
+    _log_beta as _log_beta_table,
     ball_monomial_norms,
     constancy_verdict,
     epsilon_ball,
@@ -263,6 +265,45 @@ def test_epsilon_point_ball_outside():
         epsilon_point_ball(norms, (0.8, 0.7))
 
 
+def _spread(n_max: int, count: int) -> list[int]:
+    """About 2 count indices over 0..n_max, both ends included: count evenly
+    spaced and count geometrically spaced, so the small indices are dense."""
+    steps = [i / (count - 1) for i in range(count)]
+    return sorted({round(n_max * s) for s in steps} | {round((n_max + 1) ** s) - 1 for s in steps})
+
+
+# (n_max, c) of every table the norm builders and the Hartogs tail bound read,
+# at the largest caps and near the divergence thresholds
+_LOG_BETA_TABLES = {
+    **{f"ball1-cap24999-alpha{a}": (24_999, a - 1.0) for a in (1.001, 50.0, 300.5)},
+    "ball2-cap200-integer-c": (200, np.arange(1.0, 202.0)),
+    **{f"ball2-cap200-alpha{a}": (201, a - 2.0) for a in (2.001, 3.5, 300.5)},
+    **{f"hartogs-caps150-mu{mu}-alpha{a}-fiber": (151, a - 2.0)
+       for mu, a in ((0.3334, 3.0), (0.01, 100.5), (5.0, 2.001))},
+    **{f"hartogs-caps150-mu{mu}-alpha{a}-base": (151, mu * (a + np.arange(152.0)) - 1.0)
+       for mu, a in ((0.3334, 3.0), (0.01, 100.5), (5.0, 2.001))},
+}
+
+
+@pytest.mark.parametrize("n_max, c", _LOG_BETA_TABLES.values(), ids=_LOG_BETA_TABLES.keys())
+def test_log_beta_tables_match_mpmath(n_max, c):
+    # B(n+1, c) from mpmath's Gamma functions, on up to 600 rows of a single
+    # column, or 50 rows and 50 columns; values at or below 1e-300 are not compared
+    c = np.atleast_1d(c)
+    table = np.exp(_log_beta_table(n_max, c))
+    assert table.shape == (n_max + 1, len(c))
+    worst, compared = 0.0, 0
+    with mpmath.workdps(30):
+        for n in _spread(n_max, 300 if len(c) == 1 else 25):
+            for i in _spread(len(c) - 1, 25) if len(c) > 1 else [0]:
+                exact = mpmath.beta(n + 1, mpmath.mpf(float(c[i])))
+                if exact > 1e-300:
+                    worst = max(worst, float(abs(table[n, i] - exact) / exact))
+                    compared += 1
+    assert compared >= 40
+    assert worst < 1e-11, worst
+
+
 def test_hartogs_norms_match_beta_products():
     mu, alpha = 1.0, 4.0
     norms = hartogs_disc_norms(mu, alpha, (6, 6))
@@ -361,6 +402,27 @@ def test_epsilon_point_hartogs_rotation_invariant():
         assert rotated == pytest.approx(base, rel=1e-12)
     with pytest.raises(SampleOutsideDomainError):
         epsilon_point_hartogs(norms, 0.9, 0.9)
+
+
+def test_point_evaluators_refuse_norms_of_another_setting():
+    ball1, ball2 = ball_monomial_norms(1, 3.0, 20), ball_monomial_norms(2, 4.0, 10)
+    hartogs = hartogs_disc_norms(2.0, 4.0, (10, 10))
+    with pytest.raises(ValueError, match="needs hartogs-disc norms, got ball norms"):
+        epsilon_point_hartogs(ball1, 0.3, 0.2)  # (d, alpha) would be read as (mu, alpha)
+    with pytest.raises(ValueError, match="needs ball norms, got hartogs-disc norms"):
+        epsilon_point_ball(hartogs, 0.3)
+    with pytest.raises(SampleOutsideDomainError, match="z must have 2 coordinates"):
+        epsilon_point_ball(ball2, 0.3)
+
+
+@pytest.mark.parametrize("z, w", [(math.nan, 0.1), (0.1, math.nan), (complex(0.1, math.nan), 0.0)])
+def test_nan_points_lie_outside_the_domain(z, w):
+    with pytest.raises(SampleOutsideDomainError):
+        epsilon_point_hartogs(hartogs_disc_norms(2.0, 4.0, (10, 10)), z, w)
+    with pytest.raises(SampleOutsideDomainError):
+        epsilon_point_ball(ball_monomial_norms(2, 4.0, 10), (z, w))
+    with pytest.raises(SampleOutsideDomainError):
+        epsilon_point_ball(ball_monomial_norms(1, 3.0, 10), z + w)  # NaN in z or in w
 
 
 def test_grid_validation():
