@@ -218,6 +218,18 @@ def _xlogy(x, y) -> np.ndarray:
 # ball norms and epsilon
 
 
+def _check_invertible(norms, setting: str) -> None:
+    """ValueError when the smallest norm has no finite float reciprocal."""
+    import numpy as np
+
+    # compare with 1/max rather than multiply by max: the check cannot overflow
+    if not norms.min() > 1.0 / float(np.finfo(float).max):
+        raise ValueError(
+            f"{setting}: the smallest squared norm is {norms.min():.3g}, whose"
+            " reciprocal leaves the float range; lower the cap"
+        )
+
+
 def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     """Squared monomial norms on the ball, or a divergence flag if alpha <= d.
 
@@ -250,6 +262,7 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
         log_beta = (_log_beta(degree_cap, np.arange(1.0, degree_cap + 2.0))[m1, m2]
                     + _log_beta(degree_cap + 1, alpha - 2.0)[m1 + m2 + 1])
     norms = math.pi**d * np.exp(log_beta)
+    _check_invertible(norms, f"degree_cap={degree_cap} with d={d}, alpha={alpha}")
     return WeightedBasisNorms("ball", (d, alpha), dict(zip(keys, norms.tolist())), False)
 
 
@@ -333,6 +346,7 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     log_beta = _log_beta(cap_w, alpha - 2.0)[:, None] + _log_beta(cap_z, c).T  # [m, j]
     keys = [(j, m) for m in range(cap_w + 1) for j in range(cap_z + 1)]
     norms = math.pi**2 * np.exp(log_beta).ravel()
+    _check_invertible(norms, f"caps={caps} with mu={mu}, alpha={alpha}")
     return WeightedBasisNorms("hartogs-disc", (mu, alpha), dict(zip(keys, norms.tolist())), False)
 
 

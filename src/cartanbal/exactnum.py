@@ -22,13 +22,10 @@ variable: a rational function that agrees with a constant on infinitely many
 points (all of them, here) is identically that constant, and conversely a
 nonempty reduced factorization has a zero or pole and cannot be constant.
 
-Operations on values that are already canonical never re-normalize a
-factor: products, quotients and reciprocals merge the two factor multisets
-and cancel across them, and compose_affine maps each pair (P, Q) to a new
-primitive pair with integer arithmetic.  An affine substitution with nonzero
-slope sends distinct primitive factors to distinct primitive factors, so a
-composed value stays fully cancelled.  Evaluation at a rational p/q works on
-the integers P*p + Q*q and builds one Fraction.
+Products, quotients, reciprocals and affine substitutions all build their
+result with the constructor, so every value is normalized by one path.
+Evaluation at a rational p/q works on the integers P*p + Q*q and builds one
+Fraction.
 """
 
 from __future__ import annotations
@@ -129,10 +126,6 @@ def _split(factor) -> tuple[LinearFactor, int, int]:
     return prim, g, d
 
 
-def _sorted_elements(counts: Counter) -> tuple[LinearFactor, ...]:
-    return tuple(sorted(counts.elements()))
-
-
 class FactoredRational:
     """scale * prod(numer) / prod(denom), canonical and fully cancelled.
 
@@ -162,35 +155,10 @@ class FactoredRational:
         common = top & bottom
         top -= common
         bottom -= common
-        self._set(Fraction(num, den), _sorted_elements(top), _sorted_elements(bottom), var)
-
-    def _set(self, scale: Fraction, numer: tuple, denom: tuple, var: str) -> None:
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "numer", numer)
-        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "scale", Fraction(num, den))
+        object.__setattr__(self, "numer", tuple(sorted(top.elements())))
+        object.__setattr__(self, "denom", tuple(sorted(bottom.elements())))
         object.__setattr__(self, "var", var)
-
-    @classmethod
-    def _canonical(cls, scale: Fraction, numer: tuple, denom: tuple, var: str):
-        """Wrap factor tuples that are already primitive, sorted and cancelled."""
-        out = object.__new__(cls)
-        out._set(scale, numer, denom, var)
-        return out
-
-    @classmethod
-    def _merge(cls, scale: Fraction, numers: tuple, denoms: tuple, var: str):
-        """Product of canonical operands: cancel across them, re-normalize nothing."""
-        top = Counter()
-        for factors in numers:
-            top.update(factors)
-        bottom = Counter()
-        for factors in denoms:
-            bottom.update(factors)
-        common = top & bottom
-        if common:
-            top -= common
-            bottom -= common
-        return cls._canonical(scale, _sorted_elements(top), _sorted_elements(bottom), var)
 
     def __setattr__(self, name, value):  # immutable after __init__
         raise AttributeError("FactoredRational is immutable")
@@ -198,59 +166,31 @@ class FactoredRational:
     # -- algebra ---------------------------------------------------------
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        return self._merge(
-            self.scale * other.scale,
-            (self.numer, other.numer),
-            (self.denom, other.denom),
-            self.var,
+        return FactoredRational(
+            self.scale * other.scale, self.numer + other.numer, self.denom + other.denom, self.var
         )
 
     def reciprocal(self) -> "FactoredRational":
-        return self._canonical(1 / self.scale, self.denom, self.numer, self.var)
+        return FactoredRational(1 / self.scale, self.denom, self.numer, self.var)
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        return self._merge(
-            self.scale / other.scale,
-            (self.numer, other.denom),
-            (self.denom, other.numer),
-            self.var,
-        )
+        return self * other.reciprocal()
 
     def compose_affine(self, coeff, shift, var: str | None = None) -> "FactoredRational":
         """Substitute x -> coeff*x + shift (coeff nonzero).
 
-        With coeff = a/b and shift = c/d, the factor P x + Q becomes
-        (P a d x + P c b + Q b d) / (b d), split once into its primitive
-        pair and the integer constant g / (b d).
+        The factor P x + Q becomes the rational pair (P coeff, P shift + Q),
+        which the constructor normalizes like any other input factor.
         """
-        coeff = Fraction(coeff)
-        shift = Fraction(shift)
+        coeff, shift = Fraction(coeff), Fraction(shift)
         if coeff == 0:
             raise ValueError("affine substitution needs a nonzero slope")
-        a, b = coeff.numerator, coeff.denominator
-        c, d = shift.numerator, shift.denominator
-        bd = b * d
 
-        def mapped(factors):
-            out, prod_g = [], 1
-            for p, q in factors:
-                prim, g = _primitive_pair(p * a * d, p * c * b + q * bd)
-                out.append(prim)
-                prod_g *= g
-            return tuple(sorted(out)), prod_g
+        def substituted(factors):
+            return [(p * coeff, p * shift + q) for p, q in factors]
 
-        numer, g_num = mapped(self.numer)
-        denom, g_den = mapped(self.denom)
-        excess = len(self.denom) - len(self.numer)
-        num = self.scale.numerator * g_num
-        den = self.scale.denominator * g_den
-        if excess > 0:
-            num *= bd**excess
-        else:
-            den *= bd**-excess
-        return self._canonical(
-            Fraction(num, den), numer, denom, self.var if var is None else var
-        )
+        var = self.var if var is None else var
+        return FactoredRational(self.scale, substituted(self.numer), substituted(self.denom), var)
 
     # -- evaluation and constancy ----------------------------------------
 

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cartanbal import cli
 from cartanbal.balanced import (
     REASON_ALPHA,
     REASON_ALPHA_MU,
@@ -142,16 +143,30 @@ def test_verdict_carries_chain_ratio_constancy():
                 assert verdict.value_at_witness == fq.eval_at(first_move), spec.label
 
 
-def test_verdicts_never_build_the_chain_ratio(monkeypatch):
-    # a verdict builds final_quantity and nothing else; the chain ratio and
-    # the moment ratio are the first-principles route of the tests only
+def test_verdicts_never_build_the_chain_ratio(monkeypatch, capsys):
+    # a verdict builds final_quantity and nothing else; the chain ratio, the
+    # moment ratio and FactoredRational algebra (products, quotients,
+    # substitutions) are the first-principles route of the tests only
+    argvs = (
+        ["moment", "--domain", "IV:4", "--s", "1/2"],
+        ["moment-ratio", "--domain", "VI", "--json"],
+        ["balanced-hartogs", "--domain", "I:2,2", "--mu", "4/5", "--alpha", "6"],
+    )
+
+    def run_cli(argv):
+        return cli.main(argv), capsys.readouterr().out
+
     expected_scan, expected_corollary = balanced_scan(8), corollary_scan(8)
+    expected_cli = [run_cli(argv) for argv in argvs]
+    assert [code for code, _ in expected_cli] == [0, 0, 2]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a verdict built the norm-chain or moment ratio")
+        raise AssertionError("a request ran the first-principles route")
 
     monkeypatch.setattr("cartanbal.balanced.norm_chain_ratio", refuse)
     monkeypatch.setattr("cartanbal.balanced.moment_ratio", refuse)
+    for method in ("__mul__", "__truediv__", "reciprocal", "compose_affine"):
+        monkeypatch.setattr(FactoredRational, method, refuse)
     specs = {
         REASON_OK: HartogsSpec(ball(2), F(1), F(4)),
         REASON_ALPHA: HartogsSpec(ball(1), F(1), F(2)),
@@ -163,6 +178,7 @@ def test_verdicts_never_build_the_chain_ratio(monkeypatch):
     assert balanced_scan(8) == expected_scan
     report = corollary_scan(8)
     assert report == expected_corollary and report.all_ok
+    assert [run_cli(argv) for argv in argvs] == expected_cli
 
 
 def test_lemma_order_of_reasons():

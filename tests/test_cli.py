@@ -319,6 +319,19 @@ def test_oversized_caps_are_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_norms_outside_the_float_range_are_an_error(capsys):
+    # these printed "min epsilon: nan" and exited 0 after numpy overflow
+    # warnings, which the suite's filterwarnings setting turns into errors
+    for argv in (
+        ("epsilon-ball", "--alpha", "300.5", "--cap", "24999", "--grid-points", "5"),
+        ("epsilon-hartogs", "--mu", "5", "--alpha", "300", "--caps", "150,150", "--grid", "2x2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "float range" in err, argv
+
+
 def test_huge_rationals_are_an_error_not_a_traceback(capsys):
     # both results are exact rationals past the 4,300-digit int-to-str limit
     for argv in (

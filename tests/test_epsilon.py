@@ -464,6 +464,21 @@ def test_size_limits_name_the_parameter():
     assert DiscGrid(100, 100).nz == 100
 
 
+def test_norms_outside_the_float_range_are_refused():
+    # a norm at or below 1/max has no finite reciprocal, and epsilon would be nan
+    with pytest.raises(ValueError, match=r"degree_cap=2000 with d=1, alpha=300\.5"):
+        ball_monomial_norms(1, 300.5, 2000)
+    with pytest.raises(ValueError, match=r"caps=\(150, 150\) with mu=5\.0, alpha=300\.0"):
+        hartogs_disc_norms(5, 300, (150, 150))
+    # the threshold: the smallest norm is 1.7e-309 (subnormal, nonzero) at
+    # alpha 217.5 and just above 1/max at 217.4
+    with pytest.raises(ValueError, match="float range"):
+        ball_monomial_norms(1, 217.5, 2000)
+    norms = ball_monomial_norms(1, 217.4, 2000)
+    assert min(norms.norms.values()) > 1.0 / np.finfo(float).max
+    assert np.isfinite(norms._inverse).all()
+
+
 def test_report_verdict_respects_tail_bound():
     def report(spread, tail):
         return EpsilonReport(((0.0, 0.0),), (1.0,), 1.0 - spread, 1.0, spread, (4,), tail)

@@ -282,7 +282,8 @@ def test_division_is_product_with_reciprocal(s1, n1, d1, s2, n2, d2):
     quot, prod = f / g, f * g.reciprocal()
     assert (quot.scale, quot.numer, quot.denom) == (prod.scale, prod.numer, prod.denom)
     _assert_canonical(quot)
-    # merging canonical operands agrees with normalising the raw factors again
+    # normalizing already normalized factors again gives the same value as
+    # normalizing the raw factors once
     assert quot == FactoredRational(s1 / s2, n1 + d2, d1 + n2)
     assert f * g == FactoredRational(s1 * s2, n1 + n2, d1 + d2)
 
