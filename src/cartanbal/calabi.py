@@ -18,11 +18,9 @@ bound on the truncated tail.  Each coefficient is a per-(mw, |mz|) slice factor
 times the multinomial |mz|!/prod_i mz_i!, so build_immersion stores only the
 (cap+1)(cap+2)/2 exact slice factors and entries is expanded when read.
 
-_power_sum is the one evaluator of the numeric power sums in this package:
-the pullback check here and every epsilon value and tail slice in epsilon.py.
-numpy is imported inside _dense, _power_sum and verify_pullback, the only
-functions that use it, so importing the package loads no numeric stack and
-the exact code paths never pay for it.
+numpy is imported inside verify_pullback, the only function here that uses
+it, so importing the package loads no numeric stack and the exact code paths
+never pay for it.
 """
 
 from __future__ import annotations
@@ -68,19 +66,23 @@ def multi_index_enumerate(dim: int, degree_cap: int) -> list[tuple[int, ...]]:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
-    # levels[n] lists the degree-n indices in order: the last entry ascends slowest
-    levels = [[(n,)] for n in range(degree_cap + 1)]
-    for _ in range(dim - 1):
-        levels = [[head + (last,) for last in range(n + 1) for head in levels[n - last]]
-                  for n in range(degree_cap + 1)]
-    return [index for level in levels for index in level]
+    return [index for index, _, _ in _multinomials(dim, degree_cap)]
 
 
 def _multinomials(dim: int, degree_cap: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """(m, |m|, |m|!/prod_i m_i!) for m in multi_index_enumerate(dim, degree_cap), in order."""
-    factorials = [math.factorial(n) for n in range(degree_cap + 1)]
-    return [(m, sum(m), factorials[sum(m)] // math.prod(factorials[part] for part in m))
-            for m in multi_index_enumerate(dim, degree_cap)]
+    """(m, |m|, |m|!/prod_i m_i!) for m in multi_index_enumerate(dim, degree_cap), in order.
+
+    levels[n] lists the degree-n indices in order, the last entry ascending
+    slowest; appending m_last to an index of degree n - m_last multiplies its
+    multinomial by C(n, m_last).
+    """
+    levels = [[((n,), 1)] for n in range(degree_cap + 1)]
+    for _ in range(dim - 1):
+        levels = [[(head + (last,), multinomial * math.comb(n, last))
+                   for last in range(n + 1) for head, multinomial in levels[n - last]]
+                  for n in range(degree_cap + 1)]
+    return [(index, n, multinomial)
+            for n, level in enumerate(levels) for index, multinomial in level]
 
 
 def _rising_row(scale: Fraction, s: Fraction, degree_cap: int) -> tuple[Fraction, ...]:
@@ -92,33 +94,6 @@ def _rising_row(scale: Fraction, s: Fraction, degree_cap: int) -> tuple[Fraction
         num *= s.numerator + n * s.denominator
         den *= s.denominator * (n + 1)
     return tuple(row)
-
-
-def _dense(index, values: np.ndarray) -> np.ndarray:
-    """Dense float array holding values at the int indices (one row each), zero elsewhere."""
-    import numpy as np
-
-    index = np.asarray(index).reshape(len(values), -1).T
-    out = np.zeros(tuple(index.max(axis=1) + 1))
-    out[tuple(index)] = values
-    return out
-
-
-def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
-    """sum_e coef[e] * prod_i b_i^(e_i) at every row b of bases.
-
-    coef is dense with one axis per variable and zeros off the support;
-    bases is (npoints, coef.ndim).  Axes are contracted one at a time, last
-    first, against the power vectors of their variable.
-    """
-    import numpy as np
-
-    bases = np.asarray(bases, dtype=float)
-    out = np.broadcast_to(coef, (len(bases), *coef.shape))
-    for axis in reversed(range(coef.ndim)):
-        powers = bases[:, axis, None] ** np.arange(coef.shape[axis])
-        out = np.einsum("s...k,sk->s...", out, powers)
-    return out
 
 
 def ball_h_coefficients(d: int, k, degree_cap: int) -> dict[tuple[int, ...], Fraction]:
@@ -240,13 +215,13 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     """Compare the truncated coefficient sum against ((1-|z|^2)^mu-|w|^2)^(-alpha).
 
     Each sample is (z, w) with z a scalar (d=1) or a coordinate tuple.  Points
-    must lie strictly inside the domain.  The truncated sum is evaluated at
-    all samples one fiber power mw at a time: the dense array indexed by mz
-    holds float(slice_factors[mw][|mz|]) times a float table of the exact
-    multinomials, built once per call, so entries is never expanded.  One
-    _power_sum call evaluates it at the bases (|z_1|^2, ..., |z_d|^2), and the
-    result is weighted by |w|^(2 mw).  So the dense array holds (cap+1)^d
-    cells at most, not (cap+1)^(d+1).
+    must lie strictly inside the domain, and a call takes at most 2,000,000 /
+    (cap+1)^max(d-1, 1) of them.  Every (mz, mw) term is evaluated and entries
+    is never expanded: for a chunk of samples whose arrays hold at most
+    2,000,000 floats, the multinomial-weighted monomials of every |mz| <= cap
+    are binned by total degree with np.add.reduceat (multi_index_enumerate's
+    order), contracted with the dense (cap+1) x (cap+1) slice-factor matrix,
+    then with the fiber powers |w|^(2 mw).
     The returned tail_bound is the analytic truncation bound at the worst
     sample, relative to the target value, and the measured error must stay
     below it (up to float roundoff).
@@ -255,15 +230,13 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
 
     spec = coeffs.spec
     d = spec.base.dim
-    mu = float(spec.mu)
-    alpha = float(spec.alpha)
+    cap = coeffs.cutoff
+    mu, alpha = float(spec.mu), float(spec.alpha)
     points = list(samples)
     if not points:
         raise ValueError("verify_pullback needs at least one sample")
-    # one _power_sum holds samples x (cap+1)^(d-1) floats, and its powers samples x (cap+1)
-    cells = len(points) * (coeffs.cutoff + 1) ** max(d - 1, 1)
-    _check_size("samples", len(points), cells, f"cells at degree cap {coeffs.cutoff}",
-                _MAX_GRID_CELLS)
+    cells = len(points) * (cap + 1) ** max(d - 1, 1)
+    _check_size("samples", len(points), cells, f"cells at degree cap {cap}", _MAX_GRID_CELLS)
     rows = []
     for z, w in points:
         moduli = [abs(part) ** 2 for part in _as_point(z, d)]
@@ -279,18 +252,26 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     y = bases[:, d]
     n_mu = (1.0 - x) ** mu
     target = (n_mu - y) ** (-alpha)
-    terms = _multinomials(d, coeffs.cutoff)
-    multinomials = _dense([term[0] for term in terms], np.array([float(term[2]) for term in terms]))
-    degrees = np.indices(multinomials.shape).sum(axis=0)
-    total = np.zeros(len(points))
+    terms = _multinomials(d, cap)
+    exponents = np.array([term[0] for term in terms]).T
+    multinomials = np.array([float(term[2]) for term in terms])
+    starts = [math.comb(n + d - 1, d) for n in range(cap + 1)]
+    factors = np.zeros((cap + 1, cap + 1))
     for mw, row in enumerate(coeffs.slice_factors):
-        box = (slice(len(row)),) * d
-        # degrees in the box reach d*(len(row)-1); the factors past the row are zero
-        factors = np.zeros(d * len(row))
-        factors[:len(row)] = row
-        total += y**mw * _power_sum(factors[degrees[box]] * multinomials[box], bases[:, :d])
+        factors[mw, :len(row)] = [f.numerator / f.denominator for f in row]  # float(f), cheaper
+    total = np.empty(len(points))
+    # a chunk's arrays: two of monomials, then d+3 of cap+1 powers or degree bins
+    step = max(1, _MAX_GRID_CELLS // (2 * len(terms) + (d + 3) * (cap + 1)))
+    for lo in range(0, len(points), step):
+        powers = [column[:, None] ** np.arange(cap + 1) for column in bases[lo:lo + step].T]
+        monomials = np.tile(multinomials, (len(powers[0]), 1))
+        for column, exponent in zip(powers, exponents):  # |z_i|^2; powers[d] holds |w|^2
+            monomials *= column[:, exponent]
+        # a sum over |mz| for each mw, then one over mw: one sum of all (cap+1)^2
+        # products is 3.6 times slower and about 5 times less accurate
+        by_mw = np.einsum("sn,mn->sm", np.add.reduceat(monomials, starts, axis=1), factors)
+        total[lo:lo + step] = np.einsum("sm,sm->s", by_mw, powers[d])
     rel = np.abs(total - target) / target
     worst = int(np.argmax(rel))
-    q_max = float(max(x.max(), (y / n_mu).max()))
-    tail = _tail_bound_rel(q_max, coeffs.cutoff, mu, alpha)
+    tail = _tail_bound_rel(float(max(x.max(), (y / n_mu).max())), cap, mu, alpha)
     return PullbackCheck(float(rel[worst]), tail, len(points), points[worst])

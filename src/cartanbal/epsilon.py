@@ -36,8 +36,9 @@ The epsilon function of the weight is
 
 so on the ball epsilon(z) = (1-|z|^2)^alpha sum |z^m|^2/||z^m||^2, and over
 the disc epsilon(z, w) = (N^mu - |w|^2)^alpha sum |z^j w^m|^2/||z^j w^m||^2.
-Each sum is a power sum in the squared moduli, with coefficients the dense
-inverse-norm array that each norms object derives once; calabi._power_sum
+Each sum is a power sum in the squared moduli.  The norm builders keep
+their Beta products as one dense array per setting (+inf off the keys), so
+the coefficients are its reciprocal with no conversion, and _power_sum
 evaluates it at one point, on a whole grid, and on the ball's tail slice.
 Constancy of epsilon over a grid is the numerical signature of balancedness:
 constancy_verdict reads a spread below 1e-5 as constant, above 1e-3 as
@@ -49,9 +50,9 @@ over (grid points x fiber powers).  Sizes (norms, grid points, evaluation
 arrays) are checked against module limits before any norm is built.
 
 numpy, the only numeric dependency, is imported inside the functions that call
-it (WeightedBasisNorms._inverse, the norm builders, the grid functions, the
-tail bound and the two log helpers), not at module level, so it loads on the
-first numeric call and never on the exact code paths.
+it (the norm builders, the grid functions, the tail bound, _power_sum and the
+two log helpers), not at module level, so it loads on the first numeric call
+and never on the exact code paths.
 """
 
 from __future__ import annotations
@@ -61,14 +62,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .calabi import (
-    _MAX_GRID_CELLS,
-    _MAX_GRID_POINTS,
-    _as_point,
-    _dense,
-    _power_sum,
-    multi_index_enumerate,
-)
+from .calabi import _MAX_GRID_CELLS, _MAX_GRID_POINTS, _as_point, multi_index_enumerate
 from .errors import SampleOutsideDomainError, TrivialSpaceError, _check_size
 
 __all__ = [
@@ -93,27 +87,40 @@ SPREAD_NONCONSTANT = 1e-3
 _MAX_NORMS = 25_000  # norms of one setting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedBasisNorms:
     """Squared monomial norms for one weighted Bergman setting.
 
     setting is "ball" (params d, alpha; keys are int degrees for d=1 and
     multi-index tuples for d=2) or "hartogs-disc" (params mu, alpha; keys are
-    (z degree, w degree) pairs).  divergent means the defining integrals do
-    not converge; then norms is empty.
+    (z degree, w degree) pairs).  The norms are stored as the dense array the
+    builder computes, one axis per variable and +inf off the keys; norms is
+    the {key: norm} dict, in the builder's key order, expanded on first read.
+    divergent means the defining integrals do not converge; then there is no
+    array and norms is empty.  Equality is identity.  Only ball_monomial_norms
+    and hartogs_disc_norms create instances.
     """
 
     setting: str
     params: tuple
-    norms: dict
+    _array: np.ndarray | None
     divergent: bool
 
     @cached_property
-    def _inverse(self) -> np.ndarray:
-        """1/norm as a dense array, one axis per variable, zero off the keys."""
-        import numpy as np
+    def norms(self) -> dict:
+        if self.divergent:
+            return {}
+        rows = self._array.tolist()
+        if self.setting == "hartogs-disc":  # the w degree ascends slowest
+            return {(j, m): rows[j][m] for m in range(len(rows[0])) for j in range(len(rows))}
+        if self._array.ndim == 1:
+            return dict(enumerate(rows))
+        return {(m1, m2): rows[m1][m2] for m1, m2 in multi_index_enumerate(2, len(rows) - 1)}
 
-        return _dense(list(self.norms), 1.0 / np.fromiter(self.norms.values(), float))
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """1/norm as a dense array, zero off the keys."""
+        return 1.0 / self._array
 
 
 _DIVERGENT = {
@@ -169,6 +176,8 @@ class DiscGrid:
     u_max: float = 0.5
 
     def __post_init__(self):
+        object.__setattr__(self, "nz", operator.index(self.nz))
+        object.__setattr__(self, "nw", operator.index(self.nw))
         if not (self.nz >= 1 and self.nw >= 1):
             raise ValueError("grid needs at least one point per axis")
         if not (0 <= self.t_max < 1 and 0 <= self.u_max < 1):
@@ -204,6 +213,28 @@ def _log_beta(n_max: int, c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     k = np.arange(1.0, n_max + 1.0).reshape(-1, *(1,) * c.ndim)
     return np.cumsum(np.concatenate([-np.log(c)[None], -np.log1p(c / k)]), axis=0)
+
+
+def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
+    """sum_e coef[e] * prod_i b_i^(e_i) at every row b of bases.
+
+    coef is dense with one axis per variable and zeros off the support;
+    bases is (npoints, coef.ndim).  On more than one point the first axis is
+    contracted once per distinct first coordinate (a Hartogs grid repeats
+    each one) and the rows are gathered; the remaining axes are contracted
+    row by row.  einsum without optimize never calls BLAS, whose unpinned
+    thread pool makes these small products many times slower.
+    """
+    import numpy as np
+
+    bases = np.asarray(bases, dtype=float)
+    firsts, row = (np.unique(bases[:, 0], return_inverse=True) if len(bases) > 1
+                   else (bases[:, 0], [0]))
+    out = np.einsum("k...,sk->s...", coef, firsts[:, None] ** np.arange(coef.shape[0]))[row]
+    for axis in range(1, coef.ndim):
+        powers = bases[:, axis, None] ** np.arange(coef.shape[axis])
+        out = np.einsum("sk...,sk->s...", out, powers)
+    return out
 
 
 def _xlogy(x, y) -> np.ndarray:
@@ -252,18 +283,17 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     count = degree_cap + 1 if d == 1 else math.comb(degree_cap + 2, 2)
     _check_size("degree_cap", degree_cap, count, "norms", _MAX_NORMS)
     if alpha <= d:
-        return WeightedBasisNorms("ball", (d, alpha), {}, True)
+        return WeightedBasisNorms("ball", (d, alpha), None, True)
     if d == 1:
-        keys = range(degree_cap + 1)
-        log_beta = _log_beta(degree_cap, alpha - 1.0)
-    else:
-        keys = multi_index_enumerate(2, degree_cap)
-        m1, m2 = np.array(keys).T
-        log_beta = (_log_beta(degree_cap, np.arange(1.0, degree_cap + 2.0))[m1, m2]
-                    + _log_beta(degree_cap + 1, alpha - 2.0)[m1 + m2 + 1])
-    norms = math.pi**d * np.exp(log_beta)
+        norms = math.pi * np.exp(_log_beta(degree_cap, alpha - 1.0))
+    else:  # the whole (cap+1)^2 square [m1, m2], then +inf where |m| > cap
+        n = np.arange(degree_cap + 1)
+        degree = np.add.outer(n, n)
+        log_beta = (_log_beta(degree_cap, n + 1.0)
+                    + _log_beta(2 * degree_cap + 1, alpha - 2.0)[degree + 1])
+        norms = np.where(degree <= degree_cap, math.pi**2 * np.exp(log_beta), np.inf)
     _check_invertible(norms, f"degree_cap={degree_cap} with d={d}, alpha={alpha}")
-    return WeightedBasisNorms("ball", (d, alpha), dict(zip(keys, norms.tolist())), False)
+    return WeightedBasisNorms("ball", (d, alpha), norms, False)
 
 
 def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
@@ -341,13 +371,12 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
         raise ValueError(f"caps must be nonnegative, got {caps}")
     _check_size("caps", (cap_z, cap_w), (cap_z + 1) * (cap_w + 1), "norms", _MAX_NORMS)
     if alpha <= 2 or alpha * mu <= 1:
-        return WeightedBasisNorms("hartogs-disc", (mu, alpha), {}, True)
+        return WeightedBasisNorms("hartogs-disc", (mu, alpha), None, True)
     c = mu * (alpha + np.arange(cap_w + 1.0)) - 1.0
-    log_beta = _log_beta(cap_w, alpha - 2.0)[:, None] + _log_beta(cap_z, c).T  # [m, j]
-    keys = [(j, m) for m in range(cap_w + 1) for j in range(cap_z + 1)]
-    norms = math.pi**2 * np.exp(log_beta).ravel()
+    log_beta = _log_beta(cap_z, c) + _log_beta(cap_w, alpha - 2.0)  # [j, m]
+    norms = math.pi**2 * np.exp(log_beta)
     _check_invertible(norms, f"caps={caps} with mu={mu}, alpha={alpha}")
-    return WeightedBasisNorms("hartogs-disc", (mu, alpha), dict(zip(keys, norms.tolist())), False)
+    return WeightedBasisNorms("hartogs-disc", (mu, alpha), norms, False)
 
 
 def epsilon_point_hartogs(norms: WeightedBasisNorms, z, w) -> float:

@@ -9,6 +9,7 @@ import pytest
 
 from cartanbal.balanced import HartogsSpec
 from cartanbal.calabi import (
+    _multinomials,
     ball_h_coefficients,
     build_immersion,
     multi_index_enumerate,
@@ -55,6 +56,14 @@ def test_multi_index_matches_sorted_reference():
             key=lambda m: (sum(m), m[::-1]),
         )
         assert multi_index_enumerate(d, cap) == reference
+
+
+def test_multinomials_match_the_factorial_formula():
+    for d, cap in ((1, 5), (2, 12), (3, 9), (4, 6)):
+        assert _multinomials(d, cap) == [
+            (m, sum(m), math.factorial(sum(m)) // math.prod(map(math.factorial, m)))
+            for m in multi_index_enumerate(d, cap)
+        ]
 
 
 def test_ball_coefficients_one_variable():
@@ -215,9 +224,29 @@ def test_pullback_two_dimensional_base():
     assert check.max_rel_error <= check.tail_bound + 1e-13
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pullback_sums_every_term(d):
+    # at a low cap the truncation error is large, so the one-pass sum must match
+    # the fsum of the expanded entries, term by term, far above roundoff
+    coeffs = build_immersion(HartogsSpec(ball(d), F(3, 2), F(7, 2)), 5)
+    samples = [((0.3,) * d, 0.25), ((0.1, 0.4, 0.2)[:d], 0.0), ((0.0,) * d, 0.45)]
+    check = verify_pullback(coeffs, samples)
+    rel = []
+    for z, w in samples:
+        x = [abs(part) ** 2 for part in z]
+        y = abs(w) ** 2
+        total = math.fsum(float(c) * math.prod(b**k for b, k in zip(x, mz)) * y**mw
+                          for (mz, mw), c in coeffs.entries.items())
+        target = ((1 - sum(x)) ** 1.5 - y) ** -3.5
+        rel.append(abs(total - target) / target)
+    assert check.max_rel_error > 1e-3
+    assert check.max_rel_error == pytest.approx(max(rel), rel=1e-12)
+    assert check.worst_sample == samples[rel.index(max(rel))]
+
+
 def test_pullback_memory_is_bounded_per_fiber_power():
     # one dense array over (*mz, mw) held (cap+1)^(d+1) floats: ~10 MB here
-    # and ~0.93 GB at d=4, cap 40; one mw slice at a time keeps ~1 MB here
+    # and ~0.93 GB at d=4, cap 40; the samples x C(cap+d, d) monomials take ~0.2 MB
     spec = HartogsSpec(ball(3), F(3, 2), F(5))
     coeffs = build_immersion(spec, 30)
     samples = [((0.1 * k, 0.05, 0.0), 0.08 * k) for k in range(5)]
@@ -232,15 +261,51 @@ def test_pullback_memory_is_bounded_per_fiber_power():
 
 
 def test_pullback_refuses_oversized_sample_sets():
-    # one evaluation array holds samples x (cap+1)^max(d-1, 1) floats; 2,000,000 at most
+    # a call takes samples x (cap+1)^max(d-1, 1) <= 2,000,000
     coeffs = build_immersion(HartogsSpec(ball(1), F(1), F(3)), 20)
     limit = 2_000_000 // 21
-    assert verify_pullback(coeffs, [(0.1, 0.1)] * limit).samples_checked == limit
+    verify_pullback(coeffs, [(0.1, 0.1)])  # numpy's import is not part of the bound
+    tracemalloc.start()
+    try:
+        assert verify_pullback(coeffs, [(0.1, 0.1)] * limit).samples_checked == limit
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at d=1 the power tables and degree bins are as large as the monomials; the
+    # chunk arrays take 16 MB, the per-sample rows and vectors about 14 MB more
+    assert peak < 4e7, peak
     with pytest.raises(ValueError, match="samples=95239 needs 2,000,019 cells"):
         verify_pullback(coeffs, [(0.1, 0.1)] * (limit + 1))
     coeffs = build_immersion(HartogsSpec(ball(3), F(1), F(5)), 20)
-    with pytest.raises(ValueError, match="samples=4536 needs 2,000,376 cells"):
-        verify_pullback(coeffs, [((0.1, 0.1, 0.1), 0.1)] * (2_000_000 // 441 + 1))
+    samples = [((0.1, 0.1, 0.1), 0.1)] * (2_000_000 // 441 + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="samples=4536 needs 2,000,376 cells"):
+            verify_pullback(coeffs, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5, peak  # refused before any array is built
+
+
+def test_pullback_memory_is_bounded_per_chunk():
+    # ball(3) at cap 30 takes 2,000,000 // 31^2 = 2,081 samples; their monomials
+    # (C(33, 3) = 5,456 each) would fill 91 MB in one array, so the samples are
+    # evaluated in chunks of at most 1,000,000 monomials
+    coeffs = build_immersion(HartogsSpec(ball(3), F(1), F(5)), 30)
+    samples = [((0.01 * (k % 20), 0.05, 0.1), 0.001 * (k % 300)) for k in range(2081)]
+    verify_pullback(coeffs, samples[:1])  # numpy's import is not part of the bound
+    tracemalloc.start()
+    try:
+        check = verify_pullback(coeffs, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e7, peak  # 16 MB of chunk arrays, then the samples and the multinomials
+    assert check.samples_checked == 2081
+    assert check.max_rel_error <= check.tail_bound + 1e-13
+    with pytest.raises(ValueError, match="samples=2082 needs 2,000,802 cells"):
+        verify_pullback(coeffs, samples + samples[:1])
 
 
 def test_hartogs_tail_bound_memory_is_bounded():

@@ -206,6 +206,22 @@ def test_immersion_check(capsys):
     assert payload["check"]["max_rel_error"] < 1e-8
 
 
+def test_immersion_checks_the_largest_grid(capsys):
+    # 10,000 samples: more than one chunk of monomials at d=2, cap 60
+    code, payload, _ = run_json(
+        capsys,
+        "immersion",
+        "--d", "2",
+        "--mu", "3/2",
+        "--alpha", "4",
+        "--cap", "60",
+        "--check-grid", "0.4:100",
+    )
+    assert code == 0
+    assert payload["check"]["samples_checked"] == 10_000
+    assert payload["check"]["max_rel_error"] <= payload["check"]["tail_bound"]
+
+
 def test_epsilon_ball_csv(tmp_path, capsys):
     out_csv = tmp_path / "eps.csv"
     code, payload, _ = run_json(

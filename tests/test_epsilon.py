@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import cartanbal.epsilon as epsilon_module
 from cartanbal.catalog import ball
 from cartanbal.balanced import cartan_balanced
+from cartanbal.calabi import multi_index_enumerate
 from cartanbal.epsilon import (
     SPREAD_CONSTANT,
     SPREAD_NONCONSTANT,
     DiscGrid,
     EpsilonReport,
     _log_beta as _log_beta_table,
+    _power_sum,
     ball_monomial_norms,
     constancy_verdict,
     epsilon_ball,
@@ -165,6 +168,60 @@ def test_point_and_grid_agree_hartogs():
     assert len(report.values) == 64
     for (rz, rw), value in zip(report.grid, report.values):
         assert epsilon_point_hartogs(norms, rz, rw) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 5), (4, 3, 5)])
+@pytest.mark.parametrize("firsts", ["repeated", "distinct", "single"])
+def test_power_sum_matches_fsum(shape, firsts):
+    rng = np.random.default_rng(len(shape))
+    coef = rng.uniform(0.0, 2.0, shape) * (rng.uniform(size=shape) < 0.7)
+    rows = {"repeated": 12, "distinct": 9, "single": 1}[firsts]
+    bases = rng.uniform(0.05, 0.9, (rows, len(shape)))
+    if firsts == "repeated":  # a grid: each first coordinate appears four times
+        bases[:, 0] = np.repeat(rng.uniform(0.05, 0.9, 3), 4)
+    values = _power_sum(coef, bases)
+    assert values.shape == (rows,)
+    for b, value in zip(bases.tolist(), values.tolist()):
+        exact = math.fsum(coef[e] * math.prod(x**k for x, k in zip(b, e)) for e in np.ndindex(shape))
+        assert value == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_grids_leave_the_norm_dict_unexpanded(monkeypatch):
+    built = []
+
+    def recording(builder):
+        def build(*args):
+            built.append(builder(*args))
+            return built[-1]
+        return build
+
+    for name in ("hartogs_disc_norms", "ball_monomial_norms"):
+        monkeypatch.setattr(epsilon_module, name, recording(getattr(epsilon_module, name)))
+    epsilon_hartogs_disc(2.0, 4.0, DiscGrid(4, 4), (40, 40))
+    epsilon_ball(2, 3.5, 0.9, 100)
+    epsilon_ball(1, 3.0, 0.9, 100)
+    assert [n.setting for n in built] == ["hartogs-disc", "ball", "ball"]
+    for n in built:
+        assert "norms" not in vars(n)
+
+
+@pytest.mark.parametrize("build, keys, exact", [
+    (lambda: ball_monomial_norms(1, 3.5, 30), list(range(31)),
+     lambda m: mpmath.pi * mpmath.beta(m + 1, 2.5)),
+    (lambda: ball_monomial_norms(2, 3.5, 20), multi_index_enumerate(2, 20),
+     lambda m: mpmath.pi**2 * mpmath.beta(m[0] + 1, m[1] + 1) * mpmath.beta(sum(m) + 2, 1.5)),
+    (lambda: hartogs_disc_norms(2.0, 4.0, (12, 3)), [(j, m) for m in range(4) for j in range(13)],
+     lambda k: mpmath.pi**2 * mpmath.beta(k[1] + 1, 2) * mpmath.beta(k[0] + 1, 2 * (4 + k[1]) - 1)),
+    (lambda: hartogs_disc_norms(2.0, 4.0, (3, 12)), [(j, m) for m in range(13) for j in range(4)],
+     lambda k: mpmath.pi**2 * mpmath.beta(k[1] + 1, 2) * mpmath.beta(k[0] + 1, 2 * (4 + k[1]) - 1)),
+])
+def test_norm_dict_keeps_its_keys_and_order(build, keys, exact):
+    items = list(build().norms.items())
+    assert [key for key, _ in items] == keys
+    with mpmath.workdps(30):
+        for key, value in items:
+            assert type(value) is float
+            assert value == pytest.approx(float(exact(key)), rel=1e-12, abs=0), key
 
 
 def _worst_rel_gap(norms, exact) -> float:
@@ -430,6 +487,11 @@ def test_grid_validation():
         DiscGrid(t_max=1.0)
     with pytest.raises(ValueError):
         DiscGrid(nz=0)
+    with pytest.raises(TypeError):
+        DiscGrid(2.5, 2)
+    with pytest.raises(TypeError):
+        DiscGrid(2, 2.0)
+    assert type(DiscGrid(np.int64(3), 2).nz) is int
     grid = DiscGrid(nz=3, nw=2, t_max=0.2, u_max=0.3)
     report = epsilon_hartogs_disc(1.0, 4.0, grid=grid, caps=(40, 40))
     assert len(report.values) == 6
