@@ -353,14 +353,12 @@ class CorollaryRow:
     alpha: Fraction | None = None
     projectively_induced: bool | None = None
     balanced: bool | None = None
-    error: str | None = None
+    error: str | None = None  # always None (failures raise); kept for the JSON schema
 
     @property
     def ok(self) -> bool:
         if self.excluded:
             return True
-        if self.error is not None:
-            return False
         return bool(self.projectively_induced) and not self.balanced
 
     def as_dict(self) -> dict:
@@ -393,7 +391,8 @@ def corollary_scan(dim_cap: int, alphas=None) -> CorollaryReport:
     canonical fiber weight mu0 = gamma/(dim+1) and sample alpha at
     alpha_min + {0, 1, 10} (or an explicit alpha list).  Every row must come
     out projectively induced and not balanced.  Balls are reported as
-    excluded rows.  Per-row failures are recorded, never raised.
+    excluded rows.  Failures raise (an invalid alpha is refused by
+    HartogsSpec), so every row's error is None.
     """
     if dim_cap < 2:
         raise PreconditionError(f"corollary scan needs dim_cap >= 2, got {dim_cap}")
@@ -409,23 +408,14 @@ def corollary_scan(dim_cap: int, alphas=None) -> CorollaryReport:
             else [alpha_min, alpha_min + 1, alpha_min + 10]
         )
         for alpha in dom_alphas:
-            try:
-                spec = HartogsSpec(dom, mu0, alpha)
-                projective = hartogs_projectively_induced(spec)
-                verdict = hartogs_balanced(spec)
-                rows.append(
-                    CorollaryRow(
-                        dom,
-                        mu0=mu0,
-                        alpha=alpha,
-                        projectively_induced=projective,
-                        balanced=verdict.balanced,
-                    )
+            spec = HartogsSpec(dom, mu0, alpha)
+            rows.append(
+                CorollaryRow(
+                    dom,
+                    mu0=mu0,
+                    alpha=alpha,
+                    projectively_induced=hartogs_projectively_induced(spec),
+                    balanced=hartogs_balanced(spec).balanced,
                 )
-            except Exception as exc:  # keep scanning, report the failure
-                rows.append(
-                    CorollaryRow(
-                        dom, mu0=mu0, alpha=alpha, error=f"{type(exc).__name__}: {exc}"
-                    )
-                )
+            )
     return CorollaryReport(dim_cap, tuple(rows))

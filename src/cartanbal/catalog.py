@@ -100,9 +100,7 @@ def _invariants(family: Family, sizes: tuple[int, ...]) -> tuple[int, int, int, 
         return 2, n - 2, 0, n
     if family is Family.TYPE_V:
         return 2, 6, 4, 16
-    if family is Family.TYPE_VI:
-        return 3, 8, 0, 27
-    raise InvalidSizeError(f"unknown family {family!r}")
+    return 3, 8, 0, 27
 
 
 def make_domain(family: Family | str, sizes=()) -> CartanDomain:

@@ -2,7 +2,7 @@
 
 Exit codes follow a uniform contract: 0 on success, 2 when a check
 subcommand evaluates its predicate to false (projective, projective-hartogs,
-balanced-cartan, balanced-hartogs, and corollary-scan when any row fails),
+balanced-cartan, balanced-hartogs, and corollary-scan when a row's claim fails),
 and 1 on any error, including bad flags.  Symbolic subcommands take exact
 rationals as "p/q" or integers and reject decimal notation; the numeric
 subcommands (epsilon-ball, epsilon-hartogs) take floats.

@@ -220,9 +220,11 @@ def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
 
     coef is dense with one axis per variable and zeros off the support;
     bases is (npoints, coef.ndim).  On more than one point the first axis is
-    contracted once per distinct first coordinate (a Hartogs grid repeats
-    each one) and the rows are gathered; the remaining axes are contracted
-    row by row.  einsum without optimize never calls BLAS, whose unpinned
+    contracted once per distinct first coordinate and the rows are gathered;
+    the remaining axes are contracted row by row.  The saving rests on the
+    repeats: an n x n Hartogs grid has n distinct first coordinates in n^2
+    rows (32 in 1,024), while a ball grid repeats none and pays a little for
+    np.unique.  einsum without optimize never calls BLAS, whose unpinned
     thread pool makes these small products many times slower.
     """
     import numpy as np

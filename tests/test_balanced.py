@@ -8,6 +8,7 @@ from cartanbal.balanced import (
     REASON_ALPHA_MU,
     REASON_M_DEPENDENCE,
     REASON_OK,
+    BalancedVerdict,
     HartogsSpec,
     balanced_scan,
     cartan_balanced,
@@ -32,6 +33,13 @@ def test_spec_validation():
         HartogsSpec(ball(1), 0, 4)
     with pytest.raises(NonpositiveParameterError):
         HartogsSpec(ball(1), 1, -2)
+
+
+def test_verdict_witness_goes_with_m_dependence():
+    with pytest.raises(ValueError, match="witness fields"):
+        BalancedVerdict(False, REASON_M_DEPENDENCE)
+    with pytest.raises(ValueError, match="witness fields"):
+        BalancedVerdict(True, REASON_OK, 1, F(1), F(2))
 
 
 def test_cartan_balanced_threshold():
@@ -288,6 +296,14 @@ def test_corollary_scan_explicit_alphas():
 def test_corollary_scan_requires_nontrivial_cap():
     with pytest.raises(PreconditionError):
         corollary_scan(1)
+
+
+def test_corollary_scan_raises_on_a_nonpositive_alpha():
+    # an invalid alpha is an error of the request, not a failed row
+    with pytest.raises(NonpositiveParameterError, match="alpha must be positive, got 0"):
+        corollary_scan(8, alphas=[F(0)])
+    with pytest.raises(NonpositiveParameterError, match="got -1/2"):
+        corollary_scan(8, alphas=[F(-1, 2), F(3)])
 
 
 def test_scan_row_dict_shape():

@@ -40,6 +40,10 @@ def test_multi_index_order():
     degrees = [sum(m) for m in out]
     assert degrees == sorted(degrees)
     assert len(set(out)) == len(out)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        multi_index_enumerate(0, 3)
+    with pytest.raises(ValueError, match="degree_cap must be >= 0"):
+        multi_index_enumerate(2, -1)
 
 
 def test_multi_index_count():
@@ -363,3 +367,6 @@ def test_tail_bound_tracks_radius():
     far = verify_pullback(coeffs, [(0.45, 0.45)])
     assert near.tail_bound < far.tail_bound
     assert far.max_rel_error <= far.tail_bound + 1e-13
+    # |z|^2 = 0.5625 is past t* = 0.5, where the comparison series diverges
+    beyond = verify_pullback(build_immersion(spec, 20), [(0.75, 0.0)])
+    assert beyond.tail_bound == math.inf

@@ -109,6 +109,8 @@ def test_invalid_sizes():
         make_domain("I", (2,))  # wrong arity
     with pytest.raises(InvalidSizeError):
         make_domain("V", (3,))
+    with pytest.raises(InvalidSizeError, match="ball dimension"):
+        ball(0)
 
 
 def test_parse_domain_round_trip():

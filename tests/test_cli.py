@@ -190,6 +190,16 @@ def test_corollary_scan_exit(capsys):
     assert all(r["projectively_induced"] and not r["balanced"] for r in non_ball)
 
 
+def test_corollary_scan_invalid_alpha_exits_one(capsys):
+    # exit 2 means a row's claim fails; a nonpositive alpha is an input error
+    for alphas, bad in (("0", "0"), ("-1/2,3", "-1/2")):
+        for extra in ((), ("--json",)):
+            argv = ("corollary-scan", "--dim-cap", "4", f"--alphas={alphas}", *extra)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == f"error: alpha must be positive, got {bad}\n", argv
+
+
 def test_immersion_check(capsys):
     code, payload, _ = run_json(
         capsys,
@@ -281,6 +291,17 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "wallach")[0] == 1  # missing required --domain
     assert run(capsys, "projective", "--domain", "I:2,2", "--beta", "junk")[0] == 1
     assert run(capsys)[0] == 1  # no subcommand prints usage
+    # malformed flag values: one error line naming the flag, no traceback
+    for flag, value, base in (
+        ("--grid", "8", ("epsilon-hartogs", "--mu", "1", "--alpha", "3")),
+        ("--caps", "80", ("epsilon-hartogs", "--mu", "1", "--alpha", "3")),
+        ("--check-grid", "1.5:3", ("immersion", "--mu", "1", "--alpha", "3")),
+        ("--check-grid", "0.4:0", ("immersion", "--mu", "1", "--alpha", "3")),
+    ):
+        code, out, err = run(capsys, *base, flag, value)
+        assert (code, out) == (1, ""), (flag, value)
+        assert err.startswith("error: ") and err.count("\n") == 1, (flag, value, err)
+        assert f"argument {flag}" in err and "Traceback" not in err, (flag, value, err)
 
 
 def test_bad_domain_is_an_error(capsys):

@@ -519,6 +519,13 @@ def test_size_limits_name_the_parameter():
         DiscGrid(101, 100)
     with pytest.raises(ValueError, match="grid_points"):
         epsilon_ball(1, 3.0, 0.5, 20, grid_points=10_001)
+    # out-of-range sizes name the parameter too
+    with pytest.raises(ValueError, match="d must be 1 or 2, got 3"):
+        ball_monomial_norms(3, 4.0, 5)
+    with pytest.raises(ValueError, match="degree_cap must be >= 0"):
+        ball_monomial_norms(1, 4.0, -1)
+    with pytest.raises(ValueError, match="caps must be nonnegative"):
+        hartogs_disc_norms(1.0, 4.0, (-1, 3))
     # sizes at the limits pass the checks (divergent weights build no norms)
     assert ball_monomial_norms(1, 1.0, 24_999).divergent
     assert ball_monomial_norms(2, 2.0, 222).divergent  # 24,976 norms

@@ -60,6 +60,14 @@ def test_linear_factor():
     assert f.render("m") == "2m+3"
     assert LinearFactor(1, 0).render("s") == "s"
     assert LinearFactor(1, -2).render("s") == "s-2"
+    # a zero slope is refused directly and as an input pair, also 0*x + 0
+    for make in (
+        lambda: LinearFactor(0, 1),
+        lambda: FactoredRational(1, [(0, 1)]),
+        lambda: FactoredRational(1, [(0, 0)]),
+    ):
+        with pytest.raises(ValueError, match="slope must be nonzero"):
+            make()
 
 
 def test_canonicalization_extracts_constants():
@@ -102,6 +110,10 @@ def test_compose_affine():
     assert comp.denom == (LinearFactor(1, 2),)
     assert comp.eval_at(0) == F(1, 4)
     assert comp.var == "m"
+    with pytest.raises(ValueError, match="nonzero slope"):
+        fr.compose_affine(0, 1)
+    with pytest.raises(AttributeError, match="immutable"):
+        comp.scale = F(1)
 
 
 def test_eval_at_pole():
@@ -130,6 +142,10 @@ def test_text_round_trip():
     assert back == fr
     assert back.var == fr.var
     assert str(back) == str(fr)
+    with pytest.raises(ValueError, match="not a FactoredRational text form"):
+        FactoredRational.from_text("junk")
+    with pytest.raises(ValueError, match="bad factor 'm\\+'"):
+        FactoredRational.from_text("num: [m+]; den: []; scale: 1")
 
 
 def test_equality_ignores_var():
