@@ -9,6 +9,14 @@ evaluation from closed-form Beta norms on the rank-one cases).
 
 The package namespace is the union of the modules' __all__ lists, so each
 public name is listed once, in the module that defines it.
+
+Importing the package loads only the exact modules (catalog, exactnum,
+wallach, moments, balanced, errors).  The numeric modules, calabi and
+epsilon, load on the first lookup of a name the package does not hold yet
+(a numeric name, the calabi or epsilon module, __all__, a star import or
+dir()): the module __getattr__ below imports both, copies their public
+names into the package and sets __all__ to the union of every module's
+__all__, so later lookups find them without calling it again.
 """
 
 __version__ = "0.1.0"
@@ -18,18 +26,35 @@ from .exactnum import *
 from .wallach import *
 from .moments import *
 from .balanced import *
-from .calabi import *
-from .epsilon import *
 from .errors import *
 
-from . import catalog, exactnum, wallach, moments, balanced, calabi, epsilon, errors
+from . import catalog, exactnum, wallach, moments, balanced, errors
 
-__all__ = ["__version__"]
-__all__ += catalog.__all__
-__all__ += exactnum.__all__
-__all__ += wallach.__all__
-__all__ += moments.__all__
-__all__ += balanced.__all__
-__all__ += calabi.__all__
-__all__ += epsilon.__all__
-__all__ += errors.__all__
+
+def _load_numeric() -> None:
+    import importlib
+
+    # import_module, not "from . import calabi": the from-import looks the
+    # name up on the package first, which would call __getattr__ again
+    calabi = importlib.import_module(".calabi", __name__)
+    epsilon = importlib.import_module(".epsilon", __name__)
+    namespace = globals()
+    for module in (calabi, epsilon):
+        namespace.update((name, getattr(module, name)) for name in module.__all__)
+    modules = (catalog, exactnum, wallach, moments, balanced, calabi, epsilon, errors)
+    namespace["__all__"] = ["__version__"] + [name for module in modules for name in module.__all__]
+
+
+def __getattr__(name: str):
+    if "__all__" not in globals():
+        _load_numeric()
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    if "__all__" not in globals():
+        _load_numeric()
+    return sorted(globals())

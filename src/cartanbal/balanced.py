@@ -42,6 +42,7 @@ information; the constancy test compares full root multisets instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -315,6 +316,7 @@ def balanced_scan(
     per-domain sample grids (mu includes gamma/(dim+1), alpha scales with the
     dimension).  The sort order of the result is (domain label, mu, alpha).
     """
+    dim_cap = operator.index(dim_cap)
     _check_size("dim_cap", dim_cap, dim_cap, "scanned dimensions", _MAX_SCAN_DIM_CAP)
     rows = []
     for dom in enumerate_catalog(dim_cap):

@@ -19,14 +19,16 @@ times the multinomial |mz|!/prod_i mz_i!, so build_immersion stores only the
 (cap+1)(cap+2)/2 exact slice factors and entries is expanded when read.
 
 numpy is imported inside verify_pullback, the only function here that uses
-it, so importing the package loads no numeric stack and the exact code paths
-never pay for it.
+it.  The package loads this module on the first lookup of a numeric name,
+and the CLI only in its immersion handler, so the exact code paths load
+neither this module nor numpy.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -145,6 +147,7 @@ def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients
         raise BallNotAllowedError(
             f"immersion coefficients need a ball base, got {spec.base.label}"
         )
+    degree_cap = operator.index(degree_cap)
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
     d = spec.base.dim

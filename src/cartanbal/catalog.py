@@ -18,6 +18,7 @@ stored value of a is immaterial whenever r = 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -160,6 +161,7 @@ def enumerate_catalog(dim_cap: int) -> list[CartanDomain]:
     entries may share their invariants (low-dimensional coincidences such as
     TypeII(1) and TypeI(1,1) both being the disc are kept as separate rows).
     """
+    dim_cap = operator.index(dim_cap)
     if dim_cap < 1:
         raise ValueError(f"dim_cap must be a positive integer, got {dim_cap}")
     _check_size("dim_cap", dim_cap, dim_cap, "catalog dimensions", _MAX_DIM_CAP)

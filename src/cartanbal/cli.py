@@ -24,14 +24,20 @@ Fraction as "p/q", a domain as its label) or fills the templates (_fmt:
 true/false, "-" for None, sequences comma-joined; explicit specs such as
 {spread:.3e} format floats).  Errors raised while rendering (an integer past
 Python's int-to-str digit limit) exit 1 like errors raised while computing.
+
+An exact subcommand loads only exact code: the numeric modules are imported
+inside their handlers (calabi in immersion, epsilon in the epsilon
+subcommands), hashlib inside catalog_hash (--manifest) and csv inside the
+--csv branch.  main sets OPENBLAS_NUM_THREADS to 1 unless the caller set it:
+the package makes no BLAS call, and an unpinned OpenBLAS thread pool makes
+the first numpy import about 0.1 s slower.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
+import os
 import re
 import string
 import sys
@@ -46,9 +52,7 @@ from .balanced import (
     corollary_scan,
     hartogs_balanced,
 )
-from .calabi import _MAX_GRID_POINTS, build_immersion, verify_pullback
 from .catalog import CartanDomain, ball, enumerate_catalog, parse_domain
-from .epsilon import DiscGrid, epsilon_ball, epsilon_hartogs_disc
 from .errors import CartanbalError, _check_size
 from .exactnum import parse_rational
 from .moments import moment_converges, moment_ratio
@@ -85,6 +89,8 @@ class _Parser(argparse.ArgumentParser):
 
 def catalog_hash(dim_cap: int = 27) -> str:
     """sha256 over the canonical catalog rows; pins the enumerated table."""
+    import hashlib
+
     h = hashlib.sha256()
     for dom in enumerate_catalog(dim_cap):
         row = f"{dom.label};r={dom.r};a={dom.a};b={dom.b};gamma={dom.gamma};dim={dom.dim}"
@@ -306,6 +312,8 @@ def _cmd_corollary_scan(args):
 
 
 def _cmd_immersion(args):
+    from .calabi import _MAX_GRID_POINTS, build_immersion, verify_pullback
+
     spec = HartogsSpec(ball(args.d), args.mu, args.alpha)
     coeffs = build_immersion(spec, args.cap)
     payload = {"d": args.d, "mu": args.mu, "alpha": args.alpha, "cap": args.cap,
@@ -341,6 +349,8 @@ def _epsilon(args, title: str, head: dict, report):
              "max epsilon: {max_value:.12g}", "spread (max-min)/max: {spread:.3e}",
              "truncation tail bound: {tail_bound:.3e}", "verdict: {verdict}"]
     if args.csv:
+        import csv
+
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["|z|", "|w|", "epsilon"])
@@ -351,12 +361,16 @@ def _epsilon(args, title: str, head: dict, report):
 
 
 def _cmd_epsilon_ball(args):
+    from .epsilon import epsilon_ball
+
     report = epsilon_ball(args.d, args.alpha, args.rmax, args.cap, grid_points=args.grid_points)
     head = {"d": args.d, "alpha": args.alpha, "rmax": args.rmax, "cap": args.cap}
     return _epsilon(args, "ball d={d} alpha={alpha}", head, report)
 
 
 def _cmd_epsilon_hartogs(args):
+    from .epsilon import DiscGrid, epsilon_hartogs_disc
+
     nz, nw = args.grid
     grid = DiscGrid(nz=nz, nw=nw, t_max=args.t_max, u_max=args.u_max)
     report = epsilon_hartogs_disc(args.mu, args.alpha, grid=grid, caps=args.caps)
@@ -465,6 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the package makes no BLAS call, and an unpinned OpenBLAS pool slows the
+    # first numpy import by about 0.1 s; a value the caller set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

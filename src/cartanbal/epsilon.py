@@ -51,8 +51,9 @@ arrays) are checked against module limits before any norm is built.
 
 numpy, the only numeric dependency, is imported inside the functions that call
 it (the norm builders, the grid functions, the tail bound, _power_sum and the
-two log helpers), not at module level, so it loads on the first numeric call
-and never on the exact code paths.
+two log helpers), not at module level, so it loads on the first numeric call.
+The module itself loads on the first lookup of a numeric name in the package,
+or in the CLI's epsilon handlers, so the exact code paths never load it.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     """
     import numpy as np
 
-    alpha = float(alpha)
+    alpha, degree_cap = float(alpha), operator.index(degree_cap)
     if d not in (1, 2):
         raise ValueError(f"d must be 1 or 2, got {d}")
     if not math.isfinite(alpha):
@@ -323,6 +324,7 @@ def epsilon_ball(
     import numpy as np
 
     alpha = float(alpha)
+    degree_cap, grid_points = operator.index(degree_cap), operator.index(grid_points)
     if not 0 < grid_rmax < 1:
         raise SampleOutsideDomainError(f"grid_rmax must lie in (0, 1), got {grid_rmax}")
     if grid_points < 1:
@@ -364,6 +366,7 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     import numpy as np
 
     mu, alpha = float(mu), float(alpha)
+    caps = tuple(map(operator.index, caps))
     cap_z, cap_w = caps
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be finite and positive, got {mu}")

@@ -404,43 +404,52 @@ def test_oversized_check_grid_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
 
 
-# Runs in a fresh interpreter: the package and each exact subcommand must load
-# neither numpy nor scipy; a numeric subcommand then loads numpy and still no
-# scipy module: numpy is the only runtime dependency.  A preamble may block
-# imports before the package loads.
-_NUMERIC_STACK_PROBE = """
-import contextlib, io, json, sys
-{preamble}
-
-def numeric_modules():
-    return sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy"))
-
-import cartanbal
-steps = [["import cartanbal", None, numeric_modules()]]
-import cartanbal.cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cartanbal.cli.main(argv)
-    steps.append([" ".join(argv), code, numeric_modules()])
-print(json.dumps(steps))
-"""
-
-
-def _probe_numeric_stack(argvs, preamble=""):
-    """[argv, exit code, loaded numpy/scipy modules] per step of _NUMERIC_STACK_PROBE."""
+def _run_python(code, *args, env=None):
+    """JSON printed by code in a fresh interpreter that imports the package from src/."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", _NUMERIC_STACK_PROBE.format(preamble=preamble), json.dumps(argvs)],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(done.stdout)
 
 
+# Runs in a fresh interpreter: after "import cartanbal", "import cartanbal.cli"
+# and each argv run through cli.main, it records which of the watched modules
+# (a name, or a top-level package and everything under it) are loaded.  A
+# preamble may block imports before the package loads.
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+{preamble}
+watched = json.loads(sys.argv[2])
+
+def loaded():
+    return sorted(name for name in sys.modules
+                  if name in watched or name.partition(".")[0] in watched)
+
+import cartanbal
+steps = [["import cartanbal", None, loaded()]]
+import cartanbal.cli
+steps.append(["import cartanbal.cli", None, loaded()])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cartanbal.cli.main(argv)
+    steps.append([" ".join(argv), code, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def _probe_modules(argvs, watched, preamble=""):
+    """[step, exit code, loaded watched modules] per step of _MODULE_PROBE."""
+    code = _MODULE_PROBE.format(preamble=preamble)
+    return _run_python(code, json.dumps(argvs), json.dumps(watched))
+
+
 def test_exact_path_leaves_numeric_stack_out():
+    # exact code loads neither numpy nor scipy, and no numeric module: calabi
+    # and epsilon load on first use, hashlib only for --manifest and csv only
+    # for --csv
     exact = [
         (["catalog"], 0),
         (["wallach", "--domain", "I:2,3"], 0),
@@ -448,18 +457,24 @@ def test_exact_path_leaves_numeric_stack_out():
         (["scan", "--dim-cap", "5"], 0),
         (["corollary-scan", "--dim-cap", "8"], 0),
         (["moment-ratio", "--domain", "IV:5"], 0),
-        (["immersion", "--mu", "1", "--alpha", "3", "--cap", "10"], 0),
     ]
+    exact += [(argv + ["--json"], code) for argv, code in exact]
+    immersion = ["immersion", "--mu", "1", "--alpha", "3", "--cap", "10"]
+    manifest = ["catalog", "--dim-cap", "5", "--manifest"]
     numeric = ["epsilon-hartogs", "--mu", "1", "--alpha", "3", "--grid", "2x2", "--caps", "8,8"]
-    argvs = [argv for argv, _ in exact] + [numeric]
-    steps = _probe_numeric_stack(argvs)
-    assert len(steps) == len(argvs) + 1
-    assert steps[0] == ["import cartanbal", None, []]
-    for (argv, code), step in zip(exact, steps[1:]):
+    argvs = [argv for argv, _ in exact] + [immersion, manifest, numeric]
+    watched = ["numpy", "scipy", "cartanbal.calabi", "cartanbal.epsilon", "hashlib", "csv"]
+    steps = _probe_modules(argvs, watched)
+    assert len(steps) == len(argvs) + 2
+    assert steps[:2] == [["import cartanbal", None, []], ["import cartanbal.cli", None, []]]
+    for (argv, code), step in zip(exact, steps[2:]):
         assert step == [" ".join(argv), code, []]
+    assert steps[-3] == [" ".join(immersion), 0, ["cartanbal.calabi"]]
+    assert steps[-2] == [" ".join(manifest), 0, ["cartanbal.calabi", "hashlib"]]
     _, code, loaded = steps[-1]
     assert code == 0
-    assert {name.partition(".")[0] for name in loaded} == {"numpy"}
+    assert "cartanbal.epsilon" in loaded and "csv" not in loaded
+    assert {name.partition(".")[0] for name in loaded} == {"cartanbal", "hashlib", "numpy"}
 
 
 def test_numeric_subcommands_run_without_scipy():
@@ -470,8 +485,25 @@ def test_numeric_subcommands_run_without_scipy():
         ["immersion", "--d", "2", "--mu", "3/2", "--alpha", "4", "--cap", "20",
          "--check-grid", "0.4:3"],
     ]
-    steps = _probe_numeric_stack(argvs, preamble='sys.modules["scipy"] = None')
-    assert [step[:2] for step in steps[1:]] == [[" ".join(argv), 0] for argv in argvs]
+    steps = _probe_modules(argvs, ["scipy"], preamble='sys.modules["scipy"] = None')
+    assert [step[:2] for step in steps[2:]] == [[" ".join(argv), 0] for argv in argvs]
+
+
+_BLAS_PROBE = """
+import contextlib, io, json, os, sys
+import cartanbal.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cartanbal.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+def test_main_pins_blas_pool_unless_set():
+    argv = json.dumps(["epsilon-ball", "--alpha", "3", "--cap", "10"])
+    unset = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    assert _run_python(_BLAS_PROBE, argv, env=unset) == [0, "1"]
+    preset = dict(unset, OPENBLAS_NUM_THREADS="2")
+    assert _run_python(_BLAS_PROBE, argv, env=preset) == [0, "2"]
 
 
 def test_csv_write_failure_is_an_error(tmp_path, capsys):

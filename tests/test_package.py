@@ -1,4 +1,11 @@
 import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import cartanbal
 
@@ -33,3 +40,74 @@ def test_package_exports_each_module_all():
     assert len(_RELEASED) == 59
     assert set(_RELEASED) <= set(cartanbal.__all__)
     assert {"REASON_OK", "REASON_M_DEPENDENCE", "SPREAD_CONSTANT"} <= set(cartanbal.__all__)
+
+
+# Runs in a fresh interpreter: the first lookup named in argv[1] is the first
+# to reach the package __getattr__, which loads the numeric modules.
+_LAZY_PROBE = """
+import json, sys
+import cartanbal
+
+def numeric_loaded():
+    return [name for name in ("cartanbal.calabi", "cartanbal.epsilon") if name in sys.modules]
+
+before = [numeric_loaded(), "epsilon_ball" in vars(cartanbal)]
+namespace = {}
+first = sys.argv[1]
+if first == "star":
+    exec("from cartanbal import *", namespace)
+elif first == "dir":
+    dir(cartanbal)
+else:
+    getattr(cartanbal, first)
+after = [numeric_loaded(), sorted(name for name in cartanbal.__all__ if name not in vars(cartanbal))]
+exec("from cartanbal import *", namespace)
+try:
+    cartanbal.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "before": before, "after": after, "all": cartanbal.__all__, "dir": dir(cartanbal),
+    "star": sorted(name for name in namespace if name != "__builtins__"), "missing": missing,
+}))
+"""
+
+
+@pytest.mark.parametrize("first", ["epsilon_ball", "calabi", "__all__", "star", "dir"])
+def test_numeric_modules_load_on_first_lookup(first):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE, first],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    probe = json.loads(done.stdout)
+    assert probe["before"] == [[], False]
+    assert probe["after"] == [["cartanbal.calabi", "cartanbal.epsilon"], []]
+    assert probe["all"] == cartanbal.__all__ and len(probe["all"]) == 65
+    assert probe["star"] == sorted(cartanbal.__all__)
+    assert set(probe["all"]) <= set(probe["dir"])
+    assert probe["missing"] == "module 'cartanbal' has no attribute 'no_such_name'"
+
+
+_SPEC = cartanbal.HartogsSpec(cartanbal.ball(1), 1, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cartanbal.ball_monomial_norms(1, 3.0, 5.5),
+    lambda: cartanbal.epsilon_ball(1, 3.0, 0.5, 5.5),
+    lambda: cartanbal.epsilon_ball(1, 3.0, 0.5, 5, grid_points=2.5),
+    lambda: cartanbal.hartogs_disc_norms(1.0, 3.0, (4.5, 4)),
+    lambda: cartanbal.build_immersion(_SPEC, 5.5),
+    lambda: cartanbal.enumerate_catalog(5.5),
+    lambda: cartanbal.balanced_scan(5.5),
+], ids=["ball-norms", "epsilon-ball-cap", "epsilon-ball-points", "hartogs-norms", "immersion",
+        "catalog", "scan"])
+def test_size_arguments_must_be_integers(call):
+    # refused where the size enters: the TypeError comes from the called
+    # function's own frame, before any helper builds a table or an array
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer") as excinfo:
+        call()
+    assert len(excinfo.traceback) == 3  # the test, the lambda, the called function
+    assert excinfo.traceback[-1].frame.f_globals["__name__"].startswith("cartanbal.")
