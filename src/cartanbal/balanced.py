@@ -396,6 +396,7 @@ def corollary_scan(dim_cap: int, alphas=None) -> CorollaryReport:
     excluded rows.  Failures raise (an invalid alpha is refused by
     HartogsSpec), so every row's error is None.
     """
+    dim_cap = operator.index(dim_cap)
     if dim_cap < 2:
         raise PreconditionError(f"corollary scan needs dim_cap >= 2, got {dim_cap}")
     rows = []

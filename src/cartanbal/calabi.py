@@ -16,12 +16,15 @@ rising(alpha, mw)/mw!.  Summing squared moduli of all components (each
 which verify_pullback checks numerically on sample points, with an analytic
 bound on the truncated tail.  Each coefficient is a per-(mw, |mz|) slice factor
 times the multinomial |mz|!/prod_i mz_i!, so build_immersion stores only the
-(cap+1)(cap+2)/2 exact slice factors and entries is expanded when read.
+(cap+1)(cap+2)/2 exact slice factors and entries is expanded when read.  As
+sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the pullback sum is the
+power sum of the slice-factor matrix at (|z|^2, |w|^2); _power_sum, kept here
+with the grid limits and _as_point, evaluates it and epsilon.py's two sums.
 
-numpy is imported inside verify_pullback, the only function here that uses
-it.  The package loads this module on the first lookup of a numeric name,
-and the CLI only in its immersion handler, so the exact code paths load
-neither this module nor numpy.
+numpy is imported inside verify_pullback and _power_sum, the only functions
+here that use it.  The package loads this module on the first lookup of a
+numeric name, and the CLI only in its immersion handler, so the exact code
+paths load neither this module nor numpy.
 """
 
 from __future__ import annotations
@@ -178,6 +181,30 @@ def _as_point(z, d: int) -> tuple[complex, ...]:
     return z
 
 
+def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
+    """sum_e coef[e] * prod_i b_i^(e_i) at every row b of bases.
+
+    coef is dense with one axis per variable and zeros off the support;
+    bases is (npoints, coef.ndim).  On more than one point the first axis is
+    contracted once per distinct first coordinate and the rows are gathered;
+    the remaining axes are contracted row by row.  The saving rests on the
+    repeats: an n x n Hartogs grid has n distinct first coordinates in n^2
+    rows (32 in 1,024), while a ball grid repeats none and pays a little for
+    np.unique.  einsum without optimize never calls BLAS, whose unpinned
+    thread pool makes these small products many times slower.
+    """
+    import numpy as np
+
+    bases = np.asarray(bases, dtype=float)
+    firsts, row = (np.unique(bases[:, 0], return_inverse=True) if len(bases) > 1
+                   else (bases[:, 0], [0]))
+    out = np.einsum("k...,sk->s...", coef, firsts[:, None] ** np.arange(coef.shape[0]))[row]
+    for axis in range(1, coef.ndim):
+        powers = bases[:, axis, None] ** np.arange(coef.shape[axis])
+        out = np.einsum("sk...,sk->s...", out, powers)
+    return out
+
+
 def _comparison_series_value(t: float, mu: float, alpha: float) -> float:
     """((1-t)^mu - t)^(-alpha), the diagonal majorant of the coefficient sums."""
     return ((1.0 - t) ** mu - t) ** (-alpha)
@@ -219,12 +246,11 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
 
     Each sample is (z, w) with z a scalar (d=1) or a coordinate tuple.  Points
     must lie strictly inside the domain, and a call takes at most 2,000,000 /
-    (cap+1)^max(d-1, 1) of them.  Every (mz, mw) term is evaluated and entries
-    is never expanded: for a chunk of samples whose arrays hold at most
-    2,000,000 floats, the multinomial-weighted monomials of every |mz| <= cap
-    are binned by total degree with np.add.reduceat (multi_index_enumerate's
-    order), contracted with the dense (cap+1) x (cap+1) slice-factor matrix,
-    then with the fiber powers |w|^(2 mw).
+    (cap+1)^max(d-1, 1) of them.  Every (mz, mw) term counts and entries is
+    never expanded: as sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n),
+    the sum is the power sum of the slice-factor matrix [|mz|, mw] at
+    (|z|^2, |w|^2), which _power_sum evaluates in chunks of samples whose two
+    (samples x cap+1) arrays hold at most 2,000,000 floats.
     The returned tail_bound is the analytic truncation bound at the worst
     sample, relative to the target value, and the measured error must stay
     below it (up to float roundoff).
@@ -242,38 +268,23 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     _check_size("samples", len(points), cells, f"cells at degree cap {cap}", _MAX_GRID_CELLS)
     rows = []
     for z, w in points:
-        moduli = [abs(part) ** 2 for part in _as_point(z, d)]
-        x = sum(moduli)
+        x = sum(abs(part) ** 2 for part in _as_point(z, d))
         y = abs(complex(w)) ** 2
         if not (x < 1.0 and y < (1.0 - x) ** mu):
             raise SampleOutsideDomainError(
                 f"sample z={z!r}, w={w!r} lies outside |w|^2 < (1-|z|^2)^mu < 1"
             )
-        rows.append((*moduli, y))
+        rows.append((x, y))
     bases = np.array(rows)
-    x = bases[:, :d].sum(axis=1)
-    y = bases[:, d]
+    x, y = bases.T
     n_mu = (1.0 - x) ** mu
     target = (n_mu - y) ** (-alpha)
-    terms = _multinomials(d, cap)
-    exponents = np.array([term[0] for term in terms]).T
-    multinomials = np.array([float(term[2]) for term in terms])
-    starts = [math.comb(n + d - 1, d) for n in range(cap + 1)]
     factors = np.zeros((cap + 1, cap + 1))
     for mw, row in enumerate(coeffs.slice_factors):
-        factors[mw, :len(row)] = [f.numerator / f.denominator for f in row]  # float(f), cheaper
-    total = np.empty(len(points))
-    # a chunk's arrays: two of monomials, then d+3 of cap+1 powers or degree bins
-    step = max(1, _MAX_GRID_CELLS // (2 * len(terms) + (d + 3) * (cap + 1)))
-    for lo in range(0, len(points), step):
-        powers = [column[:, None] ** np.arange(cap + 1) for column in bases[lo:lo + step].T]
-        monomials = np.tile(multinomials, (len(powers[0]), 1))
-        for column, exponent in zip(powers, exponents):  # |z_i|^2; powers[d] holds |w|^2
-            monomials *= column[:, exponent]
-        # a sum over |mz| for each mw, then one over mw: one sum of all (cap+1)^2
-        # products is 3.6 times slower and about 5 times less accurate
-        by_mw = np.einsum("sn,mn->sm", np.add.reduceat(monomials, starts, axis=1), factors)
-        total[lo:lo + step] = np.einsum("sm,sm->s", by_mw, powers[d])
+        factors[:len(row), mw] = [f.numerator / f.denominator for f in row]  # float(f), cheaper
+    step = max(1, _MAX_GRID_CELLS // (2 * (cap + 1)))
+    total = np.concatenate([_power_sum(factors, bases[lo:lo + step])
+                            for lo in range(0, len(points), step)])
     rel = np.abs(total - target) / target
     worst = int(np.argmax(rel))
     tail = _tail_bound_rel(float(max(x.max(), (y / n_mu).max())), cap, mu, alpha)

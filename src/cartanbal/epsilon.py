@@ -40,6 +40,7 @@ Each sum is a power sum in the squared moduli.  The norm builders keep
 their Beta products as one dense array per setting (+inf off the keys), so
 the coefficients are its reciprocal with no conversion, and _power_sum
 evaluates it at one point, on a whole grid, and on the ball's tail slice.
+_power_sum lives in calabi.py; it serves three sums, these two and the pullback.
 Constancy of epsilon over a grid is the numerical signature of balancedness:
 constancy_verdict reads a spread below 1e-5 as constant, above 1e-3 as
 non-constant, and between them as inconclusive.  Omitted terms are positive,
@@ -63,7 +64,13 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .calabi import _MAX_GRID_CELLS, _MAX_GRID_POINTS, _as_point, multi_index_enumerate
+from .calabi import (
+    _MAX_GRID_CELLS,
+    _MAX_GRID_POINTS,
+    _as_point,
+    _power_sum,
+    multi_index_enumerate,
+)
 from .errors import SampleOutsideDomainError, TrivialSpaceError, _check_size
 
 __all__ = [
@@ -214,30 +221,6 @@ def _log_beta(n_max: int, c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     k = np.arange(1.0, n_max + 1.0).reshape(-1, *(1,) * c.ndim)
     return np.cumsum(np.concatenate([-np.log(c)[None], -np.log1p(c / k)]), axis=0)
-
-
-def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
-    """sum_e coef[e] * prod_i b_i^(e_i) at every row b of bases.
-
-    coef is dense with one axis per variable and zeros off the support;
-    bases is (npoints, coef.ndim).  On more than one point the first axis is
-    contracted once per distinct first coordinate and the rows are gathered;
-    the remaining axes are contracted row by row.  The saving rests on the
-    repeats: an n x n Hartogs grid has n distinct first coordinates in n^2
-    rows (32 in 1,024), while a ball grid repeats none and pays a little for
-    np.unique.  einsum without optimize never calls BLAS, whose unpinned
-    thread pool makes these small products many times slower.
-    """
-    import numpy as np
-
-    bases = np.asarray(bases, dtype=float)
-    firsts, row = (np.unique(bases[:, 0], return_inverse=True) if len(bases) > 1
-                   else (bases[:, 0], [0]))
-    out = np.einsum("k...,sk->s...", coef, firsts[:, None] ** np.arange(coef.shape[0]))[row]
-    for axis in range(1, coef.ndim):
-        powers = bases[:, axis, None] ** np.arange(coef.shape[axis])
-        out = np.einsum("sk...,sk->s...", out, powers)
-    return out
 
 
 def _xlogy(x, y) -> np.ndarray:

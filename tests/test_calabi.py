@@ -228,12 +228,12 @@ def test_pullback_two_dimensional_base():
     assert check.max_rel_error <= check.tail_bound + 1e-13
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_pullback_sums_every_term(d):
     # at a low cap the truncation error is large, so the one-pass sum must match
     # the fsum of the expanded entries, term by term, far above roundoff
     coeffs = build_immersion(HartogsSpec(ball(d), F(3, 2), F(7, 2)), 5)
-    samples = [((0.3,) * d, 0.25), ((0.1, 0.4, 0.2)[:d], 0.0), ((0.0,) * d, 0.45)]
+    samples = [((0.3,) * d, 0.25), ((0.1, 0.4, 0.2, 0.15)[:d], 0.0), ((0.0,) * d, 0.45)]
     check = verify_pullback(coeffs, samples)
     rel = []
     for z, w in samples:
@@ -250,7 +250,8 @@ def test_pullback_sums_every_term(d):
 
 def test_pullback_memory_is_bounded_per_fiber_power():
     # one dense array over (*mz, mw) held (cap+1)^(d+1) floats: ~10 MB here
-    # and ~0.93 GB at d=4, cap 40; the samples x C(cap+d, d) monomials take ~0.2 MB
+    # and ~0.93 GB at d=4, cap 40; the (cap+1) x (cap+1) slice-factor matrix takes
+    # 7.7 kB and the two (samples x cap+1) power-sum arrays 1.2 kB each
     spec = HartogsSpec(ball(3), F(3, 2), F(5))
     coeffs = build_immersion(spec, 30)
     samples = [((0.1 * k, 0.05, 0.0), 0.08 * k) for k in range(5)]
@@ -275,8 +276,9 @@ def test_pullback_refuses_oversized_sample_sets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # at d=1 the power tables and degree bins are as large as the monomials; the
-    # chunk arrays take 16 MB, the per-sample rows and vectors about 14 MB more
+    # two chunks of 47,619 samples; a chunk's two (samples x 21) arrays, the rows
+    # contracted over |z|^2 and the powers of |w|^2, take 16 MB, the per-sample
+    # rows and vectors about 14 MB more
     assert peak < 4e7, peak
     with pytest.raises(ValueError, match="samples=95239 needs 2,000,019 cells"):
         verify_pullback(coeffs, [(0.1, 0.1)] * (limit + 1))
@@ -293,9 +295,9 @@ def test_pullback_refuses_oversized_sample_sets():
 
 
 def test_pullback_memory_is_bounded_per_chunk():
-    # ball(3) at cap 30 takes 2,000,000 // 31^2 = 2,081 samples; their monomials
-    # (C(33, 3) = 5,456 each) would fill 91 MB in one array, so the samples are
-    # evaluated in chunks of at most 1,000,000 monomials
+    # ball(3) at cap 30 takes 2,000,000 // 31^2 = 2,081 samples; each is reduced
+    # to (|z|^2, |w|^2), so one chunk of at most 1,000,000 / 31 samples holds them
+    # all, in two (samples x 31) power-sum arrays of 0.5 MB each
     coeffs = build_immersion(HartogsSpec(ball(3), F(1), F(5)), 30)
     samples = [((0.01 * (k % 20), 0.05, 0.1), 0.001 * (k % 300)) for k in range(2081)]
     verify_pullback(coeffs, samples[:1])  # numpy's import is not part of the bound
@@ -305,7 +307,7 @@ def test_pullback_memory_is_bounded_per_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e7, peak  # 16 MB of chunk arrays, then the samples and the multinomials
+    assert peak < 2e7, peak  # 1.6 MB: the two chunk arrays, the samples and the factor matrix
     assert check.samples_checked == 2081
     assert check.max_rel_error <= check.tail_bound + 1e-13
     with pytest.raises(ValueError, match="samples=2082 needs 2,000,802 cells"):

@@ -102,8 +102,9 @@ _SPEC = cartanbal.HartogsSpec(cartanbal.ball(1), 1, 3)
     lambda: cartanbal.build_immersion(_SPEC, 5.5),
     lambda: cartanbal.enumerate_catalog(5.5),
     lambda: cartanbal.balanced_scan(5.5),
+    lambda: cartanbal.corollary_scan(5.5),
 ], ids=["ball-norms", "epsilon-ball-cap", "epsilon-ball-points", "hartogs-norms", "immersion",
-        "catalog", "scan"])
+        "catalog", "scan", "corollary-scan"])
 def test_size_arguments_must_be_integers(call):
     # refused where the size enters: the TypeError comes from the called
     # function's own frame, before any helper builds a table or an array
