@@ -19,7 +19,7 @@ times the multinomial |mz|!/prod_i mz_i!, so build_immersion stores only the
 (cap+1)(cap+2)/2 exact slice factors and entries is expanded when read.  As
 sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the pullback sum is the
 power sum of the slice-factor matrix at (|z|^2, |w|^2); _power_sum, kept here
-with the grid limits and _as_point, evaluates it and epsilon.py's two sums.
+with the grid limits and _squared_norm, evaluates it and epsilon.py's two sums.
 
 numpy is imported inside verify_pullback and _power_sum, the only functions
 here that use it.  The package loads this module on the first lookup of a
@@ -154,6 +154,12 @@ def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
     d = spec.base.dim
+    # C(cap+d+1, d+1) is at least its d=1 value and, for cap >= 1, its cap=1
+    # value d+2; refusing on those first keeps the exact count small
+    at_d1 = (degree_cap + 1) * (degree_cap + 2) // 2
+    _check_size("degree_cap", degree_cap, at_d1, "entries even at d=1", _MAX_ENTRIES)
+    if degree_cap >= 1:
+        _check_size("d", d, d + 2, "entries even at degree cap 1", _MAX_ENTRIES)
     count = math.comb(degree_cap + d + 1, d + 1)
     _check_size("degree_cap", degree_cap, count, "entries", _MAX_ENTRIES)
     weights = _rising_row(Fraction(1), spec.alpha, degree_cap)
@@ -170,15 +176,16 @@ class PullbackCheck:
     worst_sample: tuple | None
 
 
-def _as_point(z, d: int) -> tuple[complex, ...]:
+def _squared_norm(z, d: int) -> float:
+    """|z|^2 of a point of C^d: a scalar for d=1, else a sequence of d coordinates."""
     if d == 1 and not isinstance(z, (tuple, list)):
-        return (complex(z),)
+        return abs(complex(z)) ** 2
     if isinstance(z, numbers.Number):
         raise SampleOutsideDomainError(f"z must have {d} coordinates, got the scalar {z!r}")
     z = tuple(complex(part) for part in z)
     if len(z) != d:
         raise SampleOutsideDomainError(f"z must have {d} coordinates, got {len(z)}")
-    return z
+    return sum(abs(part) ** 2 for part in z)
 
 
 def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
@@ -205,11 +212,6 @@ def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
     return out
 
 
-def _comparison_series_value(t: float, mu: float, alpha: float) -> float:
-    """((1-t)^mu - t)^(-alpha), the diagonal majorant of the coefficient sums."""
-    return ((1.0 - t) ** mu - t) ** (-alpha)
-
-
 def _tail_bound_rel(q: float, cap: int, mu: float, alpha: float) -> float:
     """Bound sum of neglected coefficients against a geometric majorant.
 
@@ -218,10 +220,13 @@ def _tail_bound_rel(q: float, cap: int, mu: float, alpha: float) -> float:
     for t below the positive root t* of (1-t)^mu = t.  For any t0 in (q, t*)
     each degree-n sum is <= F(t0) t0^(-n), so the tail above degree cap is
     <= F(t0) (q/t0)^(cap+1) / (1 - q/t0); t0 is optimized over a small grid.
+    The candidates are formed in logs, so a bound past the float range is inf.
 
     The target value ((1-|z|^2)^mu - |w|^2)^(-alpha) is >= 1 everywhere on
     the domain, so this absolute bound is also a relative one.
     """
+    if q == 0.0:
+        return 0.0  # every omitted term has degree >= 1 and vanishes
     lo, hi = 0.0, 1.0
     for _ in range(200):  # bisection for t*: (1-t)^mu - t is decreasing
         mid = 0.5 * (lo + hi)
@@ -236,9 +241,22 @@ def _tail_bound_rel(q: float, cap: int, mu: float, alpha: float) -> float:
     for frac in (0.25, 0.5, 0.75, 0.9):
         t0 = q + (t_star - q) * frac
         ratio = q / t0
-        bound = _comparison_series_value(t0, mu, alpha) * ratio ** (cap + 1) / (1 - ratio)
-        best = min(best, bound)
-    return best
+        log_f = -alpha * math.log((1.0 - t0) ** mu - t0)  # log F(t0)
+        best = min(best, log_f + (cap + 1) * math.log(ratio) - math.log1p(-ratio))
+    try:
+        return math.exp(best)
+    except OverflowError:
+        return math.inf
+
+
+def _check_pullback_size(samples: int, cap: int, d: int) -> None:
+    """ValueError when a pullback check of this many samples is too large.
+
+    Per sample the check touches cap+1 cells of each power-sum array and d
+    coordinates in _squared_norm, so it takes samples x max(cap+1, d) cells.
+    """
+    cells = samples * max(cap + 1, d)
+    _check_size("samples", samples, cells, f"cells at degree cap {cap}, d={d}", _MAX_GRID_CELLS)
 
 
 def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> PullbackCheck:
@@ -246,14 +264,15 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
 
     Each sample is (z, w) with z a scalar (d=1) or a coordinate tuple.  Points
     must lie strictly inside the domain, and a call takes at most 2,000,000 /
-    (cap+1)^max(d-1, 1) of them.  Every (mz, mw) term counts and entries is
+    max(cap+1, d) of them.  Every (mz, mw) term counts and entries is
     never expanded: as sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n),
     the sum is the power sum of the slice-factor matrix [|mz|, mw] at
     (|z|^2, |w|^2), which _power_sum evaluates in chunks of samples whose two
     (samples x cap+1) arrays hold at most 2,000,000 floats.
     The returned tail_bound is the analytic truncation bound at the worst
     sample, relative to the target value, and the measured error must stay
-    below it (up to float roundoff).
+    below it (up to float roundoff).  A target past the float range is a
+    ValueError.
     """
     import numpy as np
 
@@ -264,11 +283,10 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     points = list(samples)
     if not points:
         raise ValueError("verify_pullback needs at least one sample")
-    cells = len(points) * (cap + 1) ** max(d - 1, 1)
-    _check_size("samples", len(points), cells, f"cells at degree cap {cap}", _MAX_GRID_CELLS)
+    _check_pullback_size(len(points), cap, d)
     rows = []
     for z, w in points:
-        x = sum(abs(part) ** 2 for part in _as_point(z, d))
+        x = _squared_norm(z, d)
         y = abs(complex(w)) ** 2
         if not (x < 1.0 and y < (1.0 - x) ** mu):
             raise SampleOutsideDomainError(
@@ -278,7 +296,13 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     bases = np.array(rows)
     x, y = bases.T
     n_mu = (1.0 - x) ** mu
-    target = (n_mu - y) ** (-alpha)
+    with np.errstate(over="ignore"):
+        target = (n_mu - y) ** (-alpha)
+    if not np.isfinite(target).all():
+        raise ValueError(
+            f"alpha={alpha}: the target ((1-|z|^2)^mu - |w|^2)^(-alpha) leaves the float"
+            " range at a sample; lower alpha or the sample radius"
+        )
     factors = np.zeros((cap + 1, cap + 1))
     for mw, row in enumerate(coeffs.slice_factors):
         factors[:len(row), mw] = [f.numerator / f.denominator for f in row]  # float(f), cheaper

@@ -312,26 +312,28 @@ def _cmd_corollary_scan(args):
 
 
 def _cmd_immersion(args):
-    from .calabi import _MAX_GRID_POINTS, build_immersion, verify_pullback
+    from .calabi import _MAX_GRID_POINTS, _check_pullback_size, build_immersion, verify_pullback
 
     spec = HartogsSpec(ball(args.d), args.mu, args.alpha)
-    coeffs = build_immersion(spec, args.cap)
-    payload = {"d": args.d, "mu": args.mu, "alpha": args.alpha, "cap": args.cap,
-               "entries": coeffs.entry_count, "check": None}
-    lines = [f"spec: {spec.label}", "squared coefficients up to total degree {cap}: {entries}"]
-    if args.check_grid is not None:
+    if args.check_grid is not None:  # the sample grid is sized before the build
         import numpy as np
 
         rmax, n = args.check_grid
         _check_size("check_grid", f"{rmax}:{n}", n * n, "samples", _MAX_GRID_POINTS)
         mu = float(spec.mu)
+        radii = np.linspace(0.0, rmax, n).tolist()
+        # keep a margin inside |w|^2 < (1-|z|^2)^mu so the tail stays small
+        grid = [(r, [w for w in radii if w**2 < 0.9 * (1.0 - r**2) ** mu]) for r in radii]
+        _check_pullback_size(sum(len(ws) for _, ws in grid), args.cap, args.d)
+    coeffs = build_immersion(spec, args.cap)
+    payload = {"d": args.d, "mu": args.mu, "alpha": args.alpha, "cap": args.cap,
+               "entries": coeffs.entry_count, "check": None}
+    lines = [f"spec: {spec.label}", "squared coefficients up to total degree {cap}: {entries}"]
+    if args.check_grid is not None:
         samples = []
-        for r in np.linspace(0.0, rmax, n):
-            z = float(r) if args.d == 1 else tuple([float(r) / args.d**0.5] * args.d)
-            for w in np.linspace(0.0, rmax, n):
-                # keep a margin inside |w|^2 < (1-|z|^2)^mu so the tail stays small
-                if float(w) ** 2 < 0.9 * (1.0 - float(r) ** 2) ** mu:
-                    samples.append((z, float(w)))
+        for r, ws in grid:
+            z = r if args.d == 1 else tuple([r / args.d**0.5] * args.d)
+            samples += [(z, w) for w in ws]
         check = verify_pullback(coeffs, samples)
         payload["check"] = {"max_rel_error": check.max_rel_error,
                             "tail_bound": check.tail_bound,

@@ -36,11 +36,12 @@ The epsilon function of the weight is
 
 so on the ball epsilon(z) = (1-|z|^2)^alpha sum |z^m|^2/||z^m||^2, and over
 the disc epsilon(z, w) = (N^mu - |w|^2)^alpha sum |z^j w^m|^2/||z^j w^m||^2.
-Each sum is a power sum in the squared moduli.  The norm builders keep
-their Beta products as one dense array per setting (+inf off the keys), so
-the coefficients are its reciprocal with no conversion, and _power_sum
-evaluates it at one point, on a whole grid, and on the ball's tail slice.
-_power_sum lives in calabi.py; it serves three sums, these two and the pullback.
+Each sum is a power sum in the squared moduli.  A ball norm is a radial
+row entry r_|m| over the multinomial |m|!/prod_i m_i!, and those multinomials
+sum the |z^m|^2 to |z|^(2n), so the ball sum is sum_n t^n / r_n in t = |z|^2.
+Each setting keeps one dense array (the row r_n, the Hartogs [j, m] norms);
+its reciprocal is the coefficients, and _power_sum (calabi.py, shared with
+the pullback) evaluates it at one point or on a whole grid.
 Constancy of epsilon over a grid is the numerical signature of balancedness:
 constancy_verdict reads a spread below 1e-5 as constant, above 1e-3 as
 non-constant, and between them as inconclusive.  Omitted terms are positive,
@@ -67,9 +68,9 @@ from functools import cached_property
 from .calabi import (
     _MAX_GRID_CELLS,
     _MAX_GRID_POINTS,
-    _as_point,
+    _multinomials,
     _power_sum,
-    multi_index_enumerate,
+    _squared_norm,
 )
 from .errors import SampleOutsideDomainError, TrivialSpaceError, _check_size
 
@@ -102,8 +103,9 @@ class WeightedBasisNorms:
     setting is "ball" (params d, alpha; keys are int degrees for d=1 and
     multi-index tuples for d=2) or "hartogs-disc" (params mu, alpha; keys are
     (z degree, w degree) pairs).  The norms are stored as the dense array the
-    builder computes, one axis per variable and +inf off the keys; norms is
-    the {key: norm} dict, in the builder's key order, expanded on first read.
+    builder computes: the ball row r_n with ||z^m||^2 = r_|m| m1! m2! / |m|!,
+    or the Hartogs [j, m] norms; norms is the {key: norm} dict, in the
+    builder's key order, expanded on first read.
     divergent means the defining integrals do not converge; then there is no
     array and norms is empty.  Equality is identity.  Only ball_monomial_norms
     and hartogs_disc_norms create instances.
@@ -121,13 +123,13 @@ class WeightedBasisNorms:
         rows = self._array.tolist()
         if self.setting == "hartogs-disc":  # the w degree ascends slowest
             return {(j, m): rows[j][m] for m in range(len(rows[0])) for j in range(len(rows))}
-        if self._array.ndim == 1:
+        if self.params[0] == 1:
             return dict(enumerate(rows))
-        return {(m1, m2): rows[m1][m2] for m1, m2 in multi_index_enumerate(2, len(rows) - 1)}
+        return {m: rows[n] / multinomial for m, n, multinomial in _multinomials(2, len(rows) - 1)}
 
     @cached_property
     def _inverse(self) -> np.ndarray:
-        """1/norm as a dense array, zero off the keys."""
+        """1/_array: the power-series coefficients of the epsilon sum."""
         return 1.0 / self._array
 
 
@@ -255,7 +257,9 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     d=2: after the angular and simplex reduction (t_i = rho s_i),
          ||z^m||^2 = pi^2 * int u^m1 (1-u)^m2 du * int rho^(|m|+1) (1-rho)^(alpha-3) drho
                    = pi^2 B(m1+1, m2+1) B(|m|+2, alpha-2),
-         keys all multi-indices with |m| <= degree_cap.
+         keys all multi-indices with |m| <= degree_cap.  B(m1+1, m2+1) is
+         m1! m2!/(n+1)!, n = |m|, so the array is r_n = pi^2 B(n+2, alpha-2)/(n+1).
+    Either array has degree_cap+1 entries, one per degree.
     """
     import numpy as np
 
@@ -271,26 +275,23 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     if alpha <= d:
         return WeightedBasisNorms("ball", (d, alpha), None, True)
     if d == 1:
-        norms = math.pi * np.exp(_log_beta(degree_cap, alpha - 1.0))
-    else:  # the whole (cap+1)^2 square [m1, m2], then +inf where |m| > cap
-        n = np.arange(degree_cap + 1)
-        degree = np.add.outer(n, n)
-        log_beta = (_log_beta(degree_cap, n + 1.0)
-                    + _log_beta(2 * degree_cap + 1, alpha - 2.0)[degree + 1])
-        norms = np.where(degree <= degree_cap, math.pi**2 * np.exp(log_beta), np.inf)
-    _check_invertible(norms, f"degree_cap={degree_cap} with d={d}, alpha={alpha}")
-    return WeightedBasisNorms("ball", (d, alpha), norms, False)
+        rows = least = math.pi * np.exp(_log_beta(degree_cap, alpha - 1.0))
+    else:  # the least degree-n norm is r_n / C(n, n//2), C(n, n//2) = prod_k k/(k - k//2)
+        n = np.arange(degree_cap + 1.0)
+        rows = math.pi**2 * np.exp(_log_beta(degree_cap + 1, alpha - 2.0)[1:]) / (n + 1)
+        least = rows / np.cumprod(np.maximum(n, 1.0) / np.maximum(n - n // 2, 1.0))
+    _check_invertible(least, f"degree_cap={degree_cap} with d={d}, alpha={alpha}")
+    return WeightedBasisNorms("ball", (d, alpha), rows, False)
 
 
 def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
     """epsilon at one point of the ball, from precomputed norms."""
     _require_convergent(norms, "ball")
     d, alpha = norms.params
-    moduli = [abs(p) ** 2 for p in _as_point(z, d)]
-    t = sum(moduli)
+    t = _squared_norm(z, d)
     if not t < 1.0:
         raise SampleOutsideDomainError(f"|z|^2 = {t} is not < 1")
-    return (1.0 - t) ** alpha * float(_power_sum(norms._inverse, [moduli])[0])
+    return (1.0 - t) ** alpha * float(_power_sum(norms._inverse, [[t]])[0])
 
 
 def epsilon_ball(
@@ -298,11 +299,11 @@ def epsilon_ball(
 ) -> EpsilonReport:
     """epsilon along a radial grid on the ball; TrivialSpaceError if alpha <= d.
 
-    For d=2 the grid runs along the diagonal |z_1| = |z_2|.  The truncation
-    tail at |z|^2 = t obeys the exact term ratio
-    a_(n+1)/a_n = t (n+alpha)/(n+1) (from the Beta-integral norms), which is
-    decreasing in n, so the tail above the cap is bounded by the last kept
-    degree-slice times a geometric series.
+    epsilon is radial, a power sum in t = |z|^2 alone, so for d=2 a grid
+    point r stands for every z with |z| = r.  The degree-n term
+    a_n = t^n / r_n obeys the exact ratio a_(n+1)/a_n = t (n+alpha)/(n+1)
+    (from the Beta-integral norms), which is decreasing in n, so the tail
+    above the cap is bounded by the last kept term times a geometric series.
     """
     import numpy as np
 
@@ -319,14 +320,11 @@ def epsilon_ball(
     _require_convergent(norms, "ball")
     radii = np.linspace(0.0, grid_rmax, grid_points)
     t = radii**2
-    bases = np.outer(t, [1.0] if d == 1 else [0.5, 0.5])
-    inv = norms._inverse
-    top_degree = np.indices(inv.shape).sum(axis=0) == degree_cap
     weight = (1.0 - t) ** alpha
-    values = weight * _power_sum(inv, bases)
-    last_slice = _power_sum(np.where(top_degree, inv, 0.0), bases)
+    values = weight * _power_sum(norms._inverse, t[:, None])
+    last_term = norms._inverse[-1] * t**degree_cap
     rho = t * (degree_cap + alpha) / (degree_cap + 1)
-    tail = math.inf if rho.max() >= 1 else float(np.max(weight * last_slice * rho / (1 - rho)))
+    tail = math.inf if rho.max() >= 1 else float(np.max(weight * last_term * rho / (1 - rho)))
     return _report([(r, 0.0) for r in radii.tolist()], values, (degree_cap,), tail)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -191,6 +192,17 @@ def test_immersion_rejects_oversized_cap():
     assert len(build_immersion(HartogsSpec(ball(3), F(1), F(5)), 30).entries) == 46_376
     with pytest.raises(ValueError, match="degree_cap"):
         build_immersion(HartogsSpec(ball(3), F(1), F(5)), 60)
+    # the count is at least its d=1 value and, at cap >= 1, d+2: both are
+    # refused before the exact binomial, whose digits grow with d and cap
+    for d, cap, name in ((10**6, 10**6, "degree_cap=1000000"),
+                         (10**5, 10**5, "degree_cap=100000"),
+                         (199_999, 1, "d=199999")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=name):
+            build_immersion(HartogsSpec(ball(d), F(1), F(3)), cap)
+        assert time.perf_counter() - start < 1.0, (d, cap)
+    assert build_immersion(HartogsSpec(ball(199_998), F(1), F(3)), 1).entry_count == 200_000
+    assert build_immersion(HartogsSpec(ball(10**6), F(1), F(3)), 0).entry_count == 1
 
 
 def test_pullback_disc():
@@ -266,7 +278,7 @@ def test_pullback_memory_is_bounded_per_fiber_power():
 
 
 def test_pullback_refuses_oversized_sample_sets():
-    # a call takes samples x (cap+1)^max(d-1, 1) <= 2,000,000
+    # a call takes samples x max(cap+1, d) <= 2,000,000
     coeffs = build_immersion(HartogsSpec(ball(1), F(1), F(3)), 20)
     limit = 2_000_000 // 21
     verify_pullback(coeffs, [(0.1, 0.1)])  # numpy's import is not part of the bound
@@ -282,11 +294,12 @@ def test_pullback_refuses_oversized_sample_sets():
     assert peak < 4e7, peak
     with pytest.raises(ValueError, match="samples=95239 needs 2,000,019 cells"):
         verify_pullback(coeffs, [(0.1, 0.1)] * (limit + 1))
-    coeffs = build_immersion(HartogsSpec(ball(3), F(1), F(5)), 20)
-    samples = [((0.1, 0.1, 0.1), 0.1)] * (2_000_000 // 441 + 1)
+    # past cap+1 the d coordinates each sample reduces count instead
+    coeffs = build_immersion(HartogsSpec(ball(1000), F(1), F(5)), 1)
+    samples = [((0.001,) * 1000, 0.1)] * (2_000_000 // 1000 + 1)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="samples=4536 needs 2,000,376 cells"):
+        with pytest.raises(ValueError, match="samples=2001 needs 2,001,000 cells"):
             verify_pullback(coeffs, samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -295,9 +308,9 @@ def test_pullback_refuses_oversized_sample_sets():
 
 
 def test_pullback_memory_is_bounded_per_chunk():
-    # ball(3) at cap 30 takes 2,000,000 // 31^2 = 2,081 samples; each is reduced
-    # to (|z|^2, |w|^2), so one chunk of at most 1,000,000 / 31 samples holds them
-    # all, in two (samples x 31) power-sum arrays of 0.5 MB each
+    # each sample is reduced to (|z|^2, |w|^2), so one chunk of at most
+    # 1,000,000 / 31 samples holds these 2,081 at cap 30, in two (samples x 31)
+    # power-sum arrays of 0.5 MB each; a call takes 2,000,000 // 31 = 64,516
     coeffs = build_immersion(HartogsSpec(ball(3), F(1), F(5)), 30)
     samples = [((0.01 * (k % 20), 0.05, 0.1), 0.001 * (k % 300)) for k in range(2081)]
     verify_pullback(coeffs, samples[:1])  # numpy's import is not part of the bound
@@ -310,9 +323,25 @@ def test_pullback_memory_is_bounded_per_chunk():
     assert peak < 2e7, peak  # 1.6 MB: the two chunk arrays, the samples and the factor matrix
     assert check.samples_checked == 2081
     assert check.max_rel_error <= check.tail_bound + 1e-13
-    with pytest.raises(ValueError, match="samples=2082 needs 2,000,802 cells"):
-        verify_pullback(coeffs, samples + samples[:1])
+    with pytest.raises(ValueError, match="samples=64517 needs 2,000,027 cells"):
+        verify_pullback(coeffs, (samples * 32)[:64_517])
 
+
+
+def test_pullback_at_large_alpha():
+    # each tail-bound candidate F(t0) (q/t0)^(cap+1) / (1 - q/t0) is formed in
+    # logs: at alpha 400 the largest is past the float range and the smallest
+    # is 5.2e130; at alpha 3000 all of them are, and the bound is inf
+    samples = [(r, w) for r in (0.0, 0.2, 0.4) for w in (0.0, 0.2, 0.4)]
+    check = verify_pullback(build_immersion(HartogsSpec(ball(1), F(1), F(400)), 20), samples)
+    assert 1e100 < check.tail_bound < math.inf
+    assert check.max_rel_error <= check.tail_bound
+    coeffs = build_immersion(HartogsSpec(ball(1), F(1), F(3000)), 20)
+    check = verify_pullback(coeffs, [(0.1, 0.1)])
+    assert check.tail_bound == math.inf
+    # 0.68^-3000 at (0.4, 0.4) is no float: one error, and no numpy warning
+    with pytest.raises(ValueError, match=r"alpha=3000\.0: .* leaves the float range"):
+        verify_pullback(coeffs, samples)
 
 def test_hartogs_tail_bound_memory_is_bounded():
     # 32x32 points and caps (80, 80) give (1024 x 82) arrays of 0.67 MB each;

@@ -397,11 +397,51 @@ def test_dim_cap_limits(capsys):
 
 
 def test_oversized_check_grid_is_refused_at_once(capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "immersion", "--mu", "1", "--alpha", "3", "--check-grid", "0.5:1000")
+    # the sample grid is sized before build_immersion, so neither build runs
+    for extra, message in (
+        (("--cap", "600", "--check-grid", "0.5:1000"), "check_grid=0.5:1000 needs 1,000,000 samples"),
+        (("--d", "199998", "--cap", "1", "--check-grid", "0.4:100"),
+         "samples=10000 needs 1,999,980,000 cells"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "immersion", "--mu", "1", "--alpha", "3", *extra)
+        assert code == 1 and out == "", extra
+        assert err.startswith("error: ") and err.count("\n") == 1, extra
+        assert message in err, extra
+        assert time.perf_counter() - start < 1.0, extra
+
+
+def test_oversized_immersions_are_refused_at_once(capsys):
+    # cheap lower bounds on the entry count come before the exact binomial
+    for d, cap in (("1000000", "1000000"), ("100000", "100000")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "immersion", "--mu", "1", "--alpha", "3", "--d", d, "--cap", cap)
+        assert time.perf_counter() - start < 1.0, d
+        assert code == 1 and out == "", d
+        assert err.startswith(f"error: degree_cap={cap} needs") and err.count("\n") == 1, err
+        assert "integer string conversion" not in err
+
+
+def test_immersion_check_over_a_larger_ball(capsys):
+    # a check takes samples x max(cap+1, d) cells: 9 x 10 here
+    code, payload, _ = run_json(capsys, "immersion", "--d", "10", "--mu", "1", "--alpha", "12",
+                                "--cap", "5", "--check-grid", "0.4:3")
+    assert code == 0
+    assert payload["check"]["samples_checked"] == 9
+    assert payload["check"]["max_rel_error"] <= payload["check"]["tail_bound"]
+
+
+def test_immersion_check_at_large_alpha(capsys):
+    # at alpha 400 a tail-bound candidate is past the float range, at 3000 the target
+    code, payload, _ = run_json(capsys, "immersion", "--mu", "1", "--alpha", "400", "--cap", "20",
+                                "--check-grid", "0.4:3")
+    assert code == 0
+    assert payload["check"]["max_rel_error"] <= payload["check"]["tail_bound"]
+    code, out, err = run(capsys, "immersion", "--mu", "1", "--alpha", "3000", "--cap", "20",
+                         "--check-grid", "0.4:3")
     assert code == 1 and out == ""
-    assert "check_grid=0.5:1000 needs 1,000,000 samples" in err
-    assert time.perf_counter() - start < 1.0
+    assert err.startswith("error: alpha=3000.0: ") and err.count("\n") == 1
+    assert "float range" in err
 
 
 def _run_python(code, *args, env=None):

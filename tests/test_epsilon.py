@@ -186,6 +186,40 @@ def test_power_sum_matches_fsum(shape, firsts):
         assert value == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+
+@pytest.mark.parametrize("cap", [6, 40])
+@pytest.mark.parametrize("alpha", [3.5, 7.25])
+def test_ball2_epsilon_matches_the_expanded_norm_sum(alpha, cap):
+    # the evaluators sum t^n / r_n in t = |z|^2; the oracle sums every monomial
+    # |z1|^(2 m1) |z2|^(2 m2) / ||z^m||^2 of the expanded dict, off the diagonal too
+    norms = ball_monomial_norms(2, alpha, cap)
+    assert len(norms._array) == cap + 1
+
+    def oracle(moduli):
+        total = math.fsum(moduli[0]**m1 * moduli[1]**m2 / value
+                          for (m1, m2), value in norms.norms.items())
+        return (1.0 - sum(moduli)) ** alpha * total
+
+    for z in [(0.3, 0.2), (0.5, 0.1j), (0.0, 0.6)]:
+        moduli = [abs(p) ** 2 for p in z]
+        assert epsilon_point_ball(norms, z) == pytest.approx(oracle(moduli), rel=1e-12, abs=0)
+    report = epsilon_ball(2, alpha, 0.9, cap, grid_points=7)
+    for (r, _), value in zip(report.grid, report.values):
+        assert value == pytest.approx(oracle([r * r / 2, r * r / 2]), rel=1e-12, abs=0)
+
+
+def test_epsilon_ball_sums_once_per_grid(monkeypatch):
+    calls = []
+
+    def counting(coef, bases):
+        calls.append(np.shape(bases))
+        return _power_sum(coef, bases)
+
+    monkeypatch.setattr(epsilon_module, "_power_sum", counting)
+    for d in (1, 2):
+        epsilon_ball(d, 3.5, 0.9, 100, grid_points=25)
+    assert calls == [(25, 1), (25, 1)]
+
 def test_grids_leave_the_norm_dict_unexpanded(monkeypatch):
     built = []
 
