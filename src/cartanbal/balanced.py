@@ -43,7 +43,7 @@ information; the constancy test compares full root multisets instead.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import CartanDomain, enumerate_catalog
@@ -87,29 +87,26 @@ REASON_M_DEPENDENCE = "m_dependence"
 _MAX_SCAN_DIM_CAP = 100
 
 
-@dataclass(frozen=True)
-class HartogsSpec:
-    """Hartogs domain over a Cartan base with fiber exponent mu, weight alpha."""
+class HartogsSpec(namedtuple("HartogsSpec", "base mu alpha")):
+    """Hartogs domain over a Cartan base with fiber exponent mu, weight alpha (Fractions > 0)."""
 
-    base: CartanDomain
-    mu: Fraction
-    alpha: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", Fraction(self.mu))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.mu <= 0:
-            raise NonpositiveParameterError(f"mu must be positive, got {self.mu}")
-        if self.alpha <= 0:
-            raise NonpositiveParameterError(f"alpha must be positive, got {self.alpha}")
+    def __new__(cls, base: CartanDomain, mu, alpha):
+        mu, alpha = Fraction(mu), Fraction(alpha)
+        if mu <= 0:
+            raise NonpositiveParameterError(f"mu must be positive, got {mu}")
+        if alpha <= 0:
+            raise NonpositiveParameterError(f"alpha must be positive, got {alpha}")
+        return super().__new__(cls, base, mu, alpha)
 
     @property
     def label(self) -> str:
         return f"{self.base.label} mu={self.mu} alpha={self.alpha}"
 
 
-@dataclass(frozen=True)
-class BalancedVerdict:
+class BalancedVerdict(namedtuple("BalancedVerdict", "balanced reason witness_m value_at_0"
+                                 " value_at_witness", defaults=(None, None, None))):
     """One Hartogs verdict; its fields are the balanced-hartogs CLI payload.
 
     ratio_constant (the constancy of the level quantity, equivalently of the
@@ -118,16 +115,13 @@ class BalancedVerdict:
     undefined.
     """
 
-    balanced: bool
-    reason: str
-    witness_m: int | None = None
-    value_at_0: Fraction | None = None
-    value_at_witness: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        has_witness = self.witness_m is not None
-        if has_witness != (self.reason == REASON_M_DEPENDENCE):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if (self.witness_m is not None) != (self.reason == REASON_M_DEPENDENCE):
             raise ValueError("witness fields present iff reason is m_dependence")
+        return self
 
     @property
     def ratio_constant(self) -> bool | None:
@@ -263,21 +257,15 @@ def hartogs_balanced(spec: HartogsSpec) -> BalancedVerdict:
 # scans
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    domain: CartanDomain
-    mu: Fraction
-    alpha: Fraction
-    balanced: bool
-    reason: str
-    witness_m: int | None
-    closed_form: bool
-    necessary_ok: bool
-    ratio_constant: bool | None  # None when the ratio is not defined
+class ScanRow(namedtuple("ScanRow", "domain mu alpha balanced reason witness_m closed_form"
+                         " necessary_ok ratio_constant")):
+    """One balanced_scan verdict; ratio_constant is None when the ratio is not defined."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         """The fields in order, JSON-ready: the domain as its label, mu and alpha as "p/q"."""
-        return {**vars(self), "domain": self.domain.label, "mu": str(self.mu),
+        return {**self._asdict(), "domain": self.domain.label, "mu": str(self.mu),
                 "alpha": str(self.alpha)}
 
 
@@ -347,15 +335,11 @@ def balanced_scan(
     return rows
 
 
-@dataclass(frozen=True)
-class CorollaryRow:
-    domain: CartanDomain
-    excluded: bool = False
-    mu0: Fraction | None = None
-    alpha: Fraction | None = None
-    projectively_induced: bool | None = None
-    balanced: bool | None = None
-    error: str | None = None  # always None (failures raise); kept for the JSON schema
+class CorollaryRow(namedtuple("CorollaryRow", "domain excluded mu0 alpha projectively_induced"
+                              " balanced error", defaults=(False, None, None, None, None, None))):
+    """One corollary_scan row; error is always None (failures raise), kept for the JSON schema."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -376,10 +360,10 @@ class CorollaryRow:
         }
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
-    dim_cap: int
-    rows: tuple[CorollaryRow, ...] = field(default_factory=tuple)
+class CorollaryReport(namedtuple("CorollaryReport", "dim_cap rows", defaults=((),))):
+    """The corollary_scan rows (a tuple of CorollaryRow) for one dim_cap."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

@@ -271,8 +271,8 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     (samples x cap+1) arrays hold at most 2,000,000 floats.
     The returned tail_bound is the analytic truncation bound at the worst
     sample, relative to the target value, and the measured error must stay
-    below it (up to float roundoff).  A target past the float range is a
-    ValueError.
+    below it (up to float roundoff).  A target or a slice factor past the
+    float range is a ValueError naming alpha.
     """
     import numpy as np
 
@@ -304,8 +304,13 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
             " range at a sample; lower alpha or the sample radius"
         )
     factors = np.zeros((cap + 1, cap + 1))
-    for mw, row in enumerate(coeffs.slice_factors):
-        factors[:len(row), mw] = [f.numerator / f.denominator for f in row]  # float(f), cheaper
+    try:
+        for mw, row in enumerate(coeffs.slice_factors):
+            factors[:len(row), mw] = [f.numerator / f.denominator for f in row]  # float(f), cheaper
+    except OverflowError:
+        raise ValueError(
+            f"alpha={alpha}: a slice factor of the immersion leaves the float range; lower alpha"
+        ) from None
     step = max(1, _MAX_GRID_CELLS // (2 * (cap + 1)))
     total = np.concatenate([_power_sum(factors, bases[lo:lo + step])
                             for lo in range(0, len(points), step)])

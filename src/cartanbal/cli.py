@@ -15,15 +15,16 @@ their grids as CSV with columns |z|, |w|, epsilon.
 Render contract: a handler computes each value once and returns
 (exit code, payload, lines).  The payload holds raw values (Fraction,
 CartanDomain, bool, None, numbers, and sequences of these); where it reports
-a result object it spreads that object's fields (vars(verdict), vars(report),
-vars(domain)) after the request parameters instead of copying them key by
-key.  The lines are str.format templates over the payload and the parsed
-flags.  _render is the one print path: it adds the schema field and the
-manifest, then prints the payload through one JSON encoder (_json_default: a
-Fraction as "p/q", a domain as its label) or fills the templates (_fmt:
-true/false, "-" for None, sequences comma-joined; explicit specs such as
-{spread:.3e} format floats).  Errors raised while rendering (an integer past
-Python's int-to-str digit limit) exit 1 like errors raised while computing.
+a result object it spreads that object's fields (verdict._asdict(),
+vars(report), vars(domain)) after the request parameters instead of copying
+them key by key.  The lines are str.format templates over the payload and
+the parsed flags.  _render is the one print path: it adds the schema field
+and the manifest, then prints the payload through one JSON encoder
+(_json_default: a Fraction as "p/q", a domain as its label) or fills the
+templates (_fmt: true/false, "-" for None, sequences comma-joined; explicit
+specs such as {spread:.3e} format floats).  Errors raised while rendering
+(an integer past Python's int-to-str digit limit) exit 1 like errors raised
+while computing.
 
 An exact subcommand loads only exact code: the numeric modules are imported
 inside their handlers (calabi in immersion, epsilon in the epsilon
@@ -280,7 +281,7 @@ def _cmd_balanced_cartan(args):
 def _cmd_balanced_hartogs(args):
     spec = HartogsSpec(args.domain, args.mu, args.alpha)
     v = hartogs_balanced(spec)
-    payload = {"domain": args.domain, "mu": args.mu, "alpha": args.alpha, **vars(v)}
+    payload = {"domain": args.domain, "mu": args.mu, "alpha": args.alpha, **v._asdict()}
     lines = [f"spec: {spec.label}", "balanced: {balanced}"]
     if v.witness_m is not None:
         lines.append("reason: {reason}; ratio at m=0 is {value_at_0}"

@@ -18,7 +18,7 @@ the j=1, t=0 one, with c_1 = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .catalog import CartanDomain
@@ -32,11 +32,10 @@ def block_lengths(dom: CartanDomain) -> tuple[int, ...]:
     return tuple(dom.b + 1 + dom.a * (dom.r - j) for j in range(1, dom.r + 1))
 
 
-@dataclass(frozen=True)
-class MomentRatio:
-    domain: CartanDomain
-    as_rational: FactoredRational  # in the variable s, normalized to 1 at s=0
-    block_lengths: tuple[int, ...]
+class MomentRatio(namedtuple("MomentRatio", "domain as_rational block_lengths")):
+    """M(s) as a FactoredRational in the variable s, normalized to 1 at s=0."""
+
+    __slots__ = ()
 
     def eval_at(self, s) -> Fraction:
         return self.as_rational.eval_at(s)

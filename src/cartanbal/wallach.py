@@ -18,7 +18,7 @@ an explicit membership check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -38,12 +38,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WallachSet:
-    """Discrete points plus the open half line above continuous_threshold."""
+class WallachSet(namedtuple("WallachSet", "discrete continuous_threshold")):
+    """Discrete points (Fractions) plus the open half line above continuous_threshold."""
 
-    discrete: tuple[Fraction, ...]
-    continuous_threshold: Fraction
+    __slots__ = ()
 
     def __contains__(self, eta) -> bool:
         eta = Fraction(eta)

@@ -23,6 +23,7 @@ from cartanbal.balanced import (
 from cartanbal.catalog import ball, enumerate_catalog, make_domain, parse_domain
 from cartanbal.errors import NonpositiveParameterError, PreconditionError
 from cartanbal.exactnum import FactoredRational
+from cartanbal.moments import moment_converges
 
 
 def test_spec_validation():
@@ -52,6 +53,17 @@ def test_cartan_balanced_threshold():
         assert cartan_balanced(dom, F(1))
     with pytest.raises(NonpositiveParameterError):
         cartan_balanced(ball(1), F(-1, 2))
+
+
+def test_cartan_balanced_matches_moment_integrability():
+    # a second route to the paper's first theorem: beta*g_B is balanced iff
+    # N^(beta*gamma - gamma) is integrable; the grid k/(4 gamma) holds the
+    # boundary beta = (gamma-1)/gamma at k = 4(gamma-1)
+    for dom in enumerate_catalog(27):
+        g = dom.gamma
+        for k in range(1, 8 * g + 1):
+            beta = F(k, 4 * g)
+            assert cartan_balanced(dom, beta) == moment_converges(dom, beta * g - g), (dom, beta)
 
 
 def test_final_quantity_frozen_examples():

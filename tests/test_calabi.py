@@ -342,6 +342,11 @@ def test_pullback_at_large_alpha():
     # 0.68^-3000 at (0.4, 0.4) is no float: one error, and no numpy warning
     with pytest.raises(ValueError, match=r"alpha=3000\.0: .* leaves the float range"):
         verify_pullback(coeffs, samples)
+    # at alpha 10^30 the target at the origin is 1, but the slice factors
+    # (rising factorials in alpha) are past the float range
+    coeffs = build_immersion(HartogsSpec(ball(1), F(1), F(10**30)), 20)
+    with pytest.raises(ValueError, match=r"alpha=1e\+30: .* leaves the float range"):
+        verify_pullback(coeffs, [(0.0, 0.0)])
 
 def test_hartogs_tail_bound_memory_is_bounded():
     # 32x32 points and caps (80, 80) give (1024 x 82) arrays of 0.67 MB each;

@@ -442,6 +442,12 @@ def test_immersion_check_at_large_alpha(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: alpha=3000.0: ") and err.count("\n") == 1
     assert "float range" in err
+    # at alpha 10^30 the one sample's target is 1 and the slice factors overflow
+    code, out, err = run(capsys, "immersion", "--mu", "1", "--alpha", str(10**30), "--cap", "20",
+                         "--check-grid", "0.4:1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: alpha=1e+30: ") and err.count("\n") == 1
+    assert "float range" in err and "Traceback" not in err
 
 
 def _run_python(code, *args, env=None):
@@ -489,7 +495,7 @@ def _probe_modules(argvs, watched, preamble=""):
 def test_exact_path_leaves_numeric_stack_out():
     # exact code loads neither numpy nor scipy, and no numeric module: calabi
     # and epsilon load on first use, hashlib only for --manifest and csv only
-    # for --csv
+    # for --csv; dataclasses (and inspect under it) only with calabi and epsilon
     exact = [
         (["catalog"], 0),
         (["wallach", "--domain", "I:2,3"], 0),
@@ -503,18 +509,21 @@ def test_exact_path_leaves_numeric_stack_out():
     manifest = ["catalog", "--dim-cap", "5", "--manifest"]
     numeric = ["epsilon-hartogs", "--mu", "1", "--alpha", "3", "--grid", "2x2", "--caps", "8,8"]
     argvs = [argv for argv, _ in exact] + [immersion, manifest, numeric]
-    watched = ["numpy", "scipy", "cartanbal.calabi", "cartanbal.epsilon", "hashlib", "csv"]
+    watched = ["numpy", "scipy", "cartanbal.calabi", "cartanbal.epsilon", "hashlib", "csv",
+               "dataclasses", "inspect"]
     steps = _probe_modules(argvs, watched)
     assert len(steps) == len(argvs) + 2
     assert steps[:2] == [["import cartanbal", None, []], ["import cartanbal.cli", None, []]]
     for (argv, code), step in zip(exact, steps[2:]):
         assert step == [" ".join(argv), code, []]
-    assert steps[-3] == [" ".join(immersion), 0, ["cartanbal.calabi"]]
-    assert steps[-2] == [" ".join(manifest), 0, ["cartanbal.calabi", "hashlib"]]
+    assert steps[-3] == [" ".join(immersion), 0, ["cartanbal.calabi", "dataclasses", "inspect"]]
+    assert steps[-2] == [" ".join(manifest), 0,
+                         ["cartanbal.calabi", "dataclasses", "hashlib", "inspect"]]
     _, code, loaded = steps[-1]
     assert code == 0
     assert "cartanbal.epsilon" in loaded and "csv" not in loaded
-    assert {name.partition(".")[0] for name in loaded} == {"cartanbal", "hashlib", "numpy"}
+    assert {name.partition(".")[0] for name in loaded} == {
+        "cartanbal", "dataclasses", "hashlib", "inspect", "numpy"}
 
 
 def test_numeric_subcommands_run_without_scipy():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -112,3 +113,45 @@ def test_size_arguments_must_be_integers(call):
         call()
     assert len(excinfo.traceback) == 3  # the test, the lambda, the called function
     assert excinfo.traceback[-1].frame.f_globals["__name__"].startswith("cartanbal.")
+
+
+def _records():
+    """name -> (a builder of one record, one of its fields); two builds are field-equal."""
+    dom = cartanbal.parse_domain("I:2,3")
+    return {
+        "CartanDomain": (lambda: cartanbal.parse_domain("I:2,3"), "gamma"),
+        "HartogsSpec": (lambda: cartanbal.HartogsSpec(dom, 2, 3), "mu"),
+        "BalancedVerdict": (
+            lambda: cartanbal.hartogs_balanced(cartanbal.HartogsSpec(dom, 1, 9)), "reason"),
+        "WallachSet": (lambda: cartanbal.wallach_set(dom), "discrete"),
+        "MomentRatio": (lambda: cartanbal.moment_ratio(dom), "block_lengths"),
+        "ScanRow": (lambda: cartanbal.balanced_scan(2)[-1], "balanced"),
+        "CorollaryRow": (lambda: cartanbal.corollary_scan(3).rows[-1], "alpha"),
+        "CorollaryReport": (lambda: cartanbal.corollary_scan(3), "rows"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_exact_records_are_immutable_values(name):
+    build, field = _records()[name]
+    first, second = build(), build()
+    assert type(first).__name__ == name and first is not second
+    assert first == second and hash(first) == hash(second)
+    for attr in (field, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(first, attr, None)
+    assert first == second
+
+
+def test_exact_record_order_repr_and_coercion():
+    catalog = cartanbal.enumerate_catalog(27)
+    assert sorted(reversed(catalog)) == catalog
+    dom = cartanbal.parse_domain("I:2,3")
+    dom_repr = "CartanDomain(family=<Family.TYPE_I: 'I'>, sizes=(2, 3), r=2, a=2, b=1, gamma=5, dim=6)"
+    assert repr(dom) == dom_repr
+    spec = cartanbal.HartogsSpec(dom, 2, 3)
+    assert repr(spec) == f"HartogsSpec(base={dom_repr}, mu=Fraction(2, 1), alpha=Fraction(3, 1))"
+    assert type(spec.mu) is Fraction and type(spec.alpha) is Fraction
+    for mu, alpha in [(0, 3), (-1, 3), (2, 0), (2, Fraction(-1, 2))]:
+        with pytest.raises(cartanbal.NonpositiveParameterError):
+            cartanbal.HartogsSpec(dom, mu, alpha)
