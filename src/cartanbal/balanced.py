@@ -326,7 +326,7 @@ def balanced_scan(
                         verdict.balanced,
                         verdict.reason,
                         verdict.witness_m,
-                        _closed_form_balanced(spec),
+                        verdict.balanced,  # hartogs_balanced asserted the closed form equals it
                         verdict.ratio_constant is not None,
                         verdict.ratio_constant,
                     )

@@ -15,14 +15,17 @@ rising(alpha, mw)/mw!.  Summing squared moduli of all components (each
 
 which verify_pullback checks numerically on sample points, with an analytic
 bound on the truncated tail.  Each coefficient is a per-(mw, |mz|) slice factor
-times the multinomial |mz|!/prod_i mz_i!, so build_immersion stores only the
-(cap+1)(cap+2)/2 exact slice factors and entries is expanded when read.  As
+times the multinomial |mz|!/prod_i mz_i!.  As
 sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the pullback sum is the
-power sum of the slice-factor matrix at (|z|^2, |w|^2); _power_sum, kept here
-with the grid limits and _squared_norm, evaluates it and epsilon.py's two sums.
+power sum of the float slice matrix [|mz|, mw] at (|z|^2, |w|^2), built as a
+cumulative product of the rising-factorial steps; _power_sum, kept here with
+the grid limits and _squared_norm, evaluates it and epsilon.py's two sums.
+The exact slice factors and the entries dict are expanded only when read,
+and no request path reads them.
 
-numpy is imported inside verify_pullback and _power_sum, the only functions
-here that use it.  The package loads this module on the first lookup of a
+numpy is imported inside ImmersionCoefficients.slice_matrix, verify_pullback
+and _power_sum, the only code here that uses it, so build_immersion alone
+loads no numpy.  The package loads this module on the first lookup of a
 numeric name, and the CLI only in its immersion handler, so the exact code
 paths load neither this module nor numpy.
 """
@@ -115,6 +118,14 @@ def ball_h_coefficients(d: int, k, degree_cap: int) -> dict[tuple[int, ...], Fra
             for index, degree, multinomial in _multinomials(d, degree_cap)}
 
 
+def _float(x: Fraction) -> float:
+    """float(x) for x > 0, or inf past the float range (float(x) raises there)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ImmersionCoefficients:
     """Squared moduli of the Hartogs immersion components over a ball base.
@@ -122,14 +133,48 @@ class ImmersionCoefficients:
     Pairs (z multi-index mz, w power mw) are truncated at |mz| + mw <= cutoff:
         entries[(mz, mw)] = slice_factors[mw][|mz|] * |mz|!/prod_i mz_i!,
         slice_factors[mw][n] = rising(alpha, mw)/mw! * rising(mu(alpha+mw), n)/n!.
-    entries (mw-major, then multi_index_enumerate order) is expanded on first
-    access; entry_count is its length.
+    Each view is computed on first read and cached: slice_matrix, the float
+    (cutoff+1) x (cutoff+1) matrix [n, mw] of the slice factors that
+    verify_pullback sums; slice_factors, the exact rows; and entries
+    (mw-major, then multi_index_enumerate order), expanded from those rows.
+    entry_count is the length of entries.  Even the float matrix waits for a
+    reader, so a build alone (the immersion subcommand without a check)
+    loads no numpy.
     """
 
     spec: HartogsSpec
     cutoff: int
-    slice_factors: tuple[tuple[Fraction, ...], ...]
     entry_count: int
+
+    @cached_property
+    def slice_matrix(self) -> np.ndarray:
+        """Read-only floats [n, mw]: zero where n + mw > cutoff, inf past the float range.
+
+        Row 0 holds the fiber weights rising(alpha, mw)/mw!, a cumulative
+        product of the steps (alpha+k-1)/k; one cumulative product down each
+        column then multiplies in the steps (mu(alpha+mw)+n-1)/n.
+        """
+        import numpy as np
+
+        cap = self.cutoff
+        mu, alpha = _float(self.spec.mu), _float(self.spec.alpha)
+        k = np.arange(1.0, cap + 1.0)
+        mw = np.arange(cap + 1.0)
+        with np.errstate(over="ignore"):
+            weights = np.cumprod(np.concatenate(([1.0], (alpha + k - 1.0) / k)))
+            steps = (mu * (alpha + mw) + k[:, None] - 1.0) / k[:, None]
+            matrix = np.cumprod(np.vstack((weights, steps)), axis=0)
+        matrix[mw[:, None] + mw > cap] = 0.0
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
+    def slice_factors(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The exact slice factors, row mw for n = 0..cutoff-mw."""
+        spec = self.spec
+        weights = _rising_row(Fraction(1), spec.alpha, self.cutoff)
+        return tuple(_rising_row(weight, spec.mu * (spec.alpha + mw), self.cutoff - mw)
+                     for mw, weight in enumerate(weights))
 
     @cached_property
     def entries(self) -> dict[tuple[tuple[int, ...], int], Fraction]:
@@ -141,10 +186,11 @@ class ImmersionCoefficients:
 
 
 def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients:
-    """Exact slice factors for a ball-base Hartogs immersion.
+    """The truncated immersion of a ball-base Hartogs domain, size-checked.
 
-    Row mw is the fiber weight rising(alpha, mw)/mw! (its n = 0 entry) times
-    the ball slice rising(mu(alpha+mw), n)/n!, n = 0..degree_cap-mw.
+    Refuses a non-ball base and a cap or dimension past 200,000 entries;
+    builds no coefficient, since each view of ImmersionCoefficients is
+    computed on first read.
     """
     if not spec.base.is_ball:
         raise BallNotAllowedError(
@@ -162,10 +208,7 @@ def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients
         _check_size("d", d, d + 2, "entries even at degree cap 1", _MAX_ENTRIES)
     count = math.comb(degree_cap + d + 1, d + 1)
     _check_size("degree_cap", degree_cap, count, "entries", _MAX_ENTRIES)
-    weights = _rising_row(Fraction(1), spec.alpha, degree_cap)
-    slice_factors = tuple(_rising_row(weight, spec.mu * (spec.alpha + mw), degree_cap - mw)
-                          for mw, weight in enumerate(weights))
-    return ImmersionCoefficients(spec, degree_cap, slice_factors, count)
+    return ImmersionCoefficients(spec, degree_cap, count)
 
 
 @dataclass(frozen=True)
@@ -264,11 +307,12 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
 
     Each sample is (z, w) with z a scalar (d=1) or a coordinate tuple.  Points
     must lie strictly inside the domain, and a call takes at most 2,000,000 /
-    max(cap+1, d) of them.  Every (mz, mw) term counts and entries is
-    never expanded: as sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n),
-    the sum is the power sum of the slice-factor matrix [|mz|, mw] at
-    (|z|^2, |w|^2), which _power_sum evaluates in chunks of samples whose two
-    (samples x cap+1) arrays hold at most 2,000,000 floats.
+    max(cap+1, d) of them.  Every (mz, mw) term counts, yet neither entries
+    nor the exact slice factors are expanded: as
+    sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the sum is the power
+    sum of coeffs.slice_matrix at (|z|^2, |w|^2), which _power_sum evaluates
+    as it stands, in chunks of samples whose two (samples x cap+1) arrays
+    hold at most 2,000,000 floats.
     The returned tail_bound is the analytic truncation bound at the worst
     sample, relative to the target value, and the measured error must stay
     below it (up to float roundoff).  A target or a slice factor past the
@@ -279,7 +323,7 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     spec = coeffs.spec
     d = spec.base.dim
     cap = coeffs.cutoff
-    mu, alpha = float(spec.mu), float(spec.alpha)
+    mu, alpha = _float(spec.mu), _float(spec.alpha)
     points = list(samples)
     if not points:
         raise ValueError("verify_pullback needs at least one sample")
@@ -303,14 +347,11 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
             f"alpha={alpha}: the target ((1-|z|^2)^mu - |w|^2)^(-alpha) leaves the float"
             " range at a sample; lower alpha or the sample radius"
         )
-    factors = np.zeros((cap + 1, cap + 1))
-    try:
-        for mw, row in enumerate(coeffs.slice_factors):
-            factors[:len(row), mw] = [f.numerator / f.denominator for f in row]  # float(f), cheaper
-    except OverflowError:
+    factors = coeffs.slice_matrix
+    if not np.isfinite(factors).all():
         raise ValueError(
             f"alpha={alpha}: a slice factor of the immersion leaves the float range; lower alpha"
-        ) from None
+        )
     step = max(1, _MAX_GRID_CELLS // (2 * (cap + 1)))
     total = np.concatenate([_power_sum(factors, bases[lo:lo + step])
                             for lo in range(0, len(points), step)])

@@ -160,8 +160,14 @@ class FactoredRational:
         object.__setattr__(self, "denom", tuple(sorted(bottom.elements())))
         object.__setattr__(self, "var", var)
 
-    def __setattr__(self, name, value):  # immutable after __init__
+    def __setattr__(self, name, value=None):  # immutable after __init__
         raise AttributeError("FactoredRational is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, which the slot state cannot bypass."""
+        return FactoredRational, (self.scale, self.numer, self.denom, self.var)
 
     # -- algebra ---------------------------------------------------------
 

@@ -158,23 +158,52 @@ def test_immersion_entries_are_lazy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 39,711 eager entries peaked at 9.0 MB; the 1,891 slice factors take ~0.2 MB
+    # the 39,711 eager entries peaked at 9.0 MB and the 1,891 exact slice
+    # factors take ~0.2 MB; a build computes no view at all
     assert peak < 1e6, peak
+    assert vars(coeffs) == {"spec": spec, "cutoff": 60, "entry_count": 39_711}
+    # the pullback reads only the float matrix
     verify_pullback(coeffs, [((0.2, 0.1), 0.3)])
-    assert "entries" not in vars(coeffs)
+    assert "slice_matrix" in vars(coeffs)
+    assert "slice_factors" not in vars(coeffs) and "entries" not in vars(coeffs)
     assert len(coeffs.entries) == coeffs.entry_count == 39_711
 
 
 def test_pullback_reads_the_slice_factors():
-    # one low-degree factor off by 1e-6 must show far above the tail bound
+    # one low-degree cell of the float matrix off by 1e-6 must show far above
+    # the tail bound; the matrix is read-only, so a perturbed copy replaces
+    # the cached one on a fresh record
     coeffs = build_immersion(HartogsSpec(ball(2), F(1), F(4)), 40)
     sample = [((0.2, 0.1), 0.3)]
     assert verify_pullback(coeffs, sample).max_rel_error < 1e-13
-    rows = list(coeffs.slice_factors)
-    rows[1] = (rows[1][0], rows[1][1] * (1 + F(1, 10**6)), *rows[1][2:])
-    check = verify_pullback(dataclasses.replace(coeffs, slice_factors=tuple(rows)), sample)
+    matrix = coeffs.slice_matrix.copy()
+    matrix[1, 1] *= 1 + 1e-6  # n = 1, mw = 1
+    perturbed = dataclasses.replace(coeffs)
+    vars(perturbed)["slice_matrix"] = matrix
+    check = verify_pullback(perturbed, sample)
     assert check.max_rel_error > check.tail_bound + 1e-13
     assert check.max_rel_error > 1e-8
+
+
+# the float matrix does not depend on d, but the build refuses more than
+# 200,000 entries: d=2 stops short of cap 150 and d=3 of cap 60
+@pytest.mark.parametrize("d, cap", [(1, 0), (1, 1), (1, 60), (1, 150), (2, 0), (2, 1), (2, 60),
+                                    (3, 0), (3, 1), (3, 30)])
+def test_slice_matrix_matches_the_exact_rows(d, cap):
+    # the exact _rising_row rows are the oracle: every cell within 1e-13
+    # relative, and zero exactly where n + mw > cap
+    settings = [(F(1), F(3)), (F(3, 2), F(5, 2)), (F(2, 3), F(7, 4)), (F(2), F(1, 7)),
+                (F(3, 2), F(53, 16)), (F(1), F(400)), (F(2), F(400))]
+    for mu, alpha in settings:
+        coeffs = build_immersion(HartogsSpec(ball(d), mu, alpha), cap)
+        matrix = coeffs.slice_matrix
+        assert matrix.shape == (cap + 1, cap + 1) and not matrix.flags.writeable
+        for mw, row in enumerate(coeffs.slice_factors):
+            assert len(row) == cap + 1 - mw
+            exact = np.array([float(f) for f in row])
+            np.testing.assert_allclose(matrix[:len(row), mw], exact, rtol=1e-13, atol=0,
+                                       err_msg=f"mu={mu} alpha={alpha} mw={mw}")
+            assert (matrix[len(row):, mw] == 0).all(), (mu, alpha, mw)
 
 
 def test_immersion_needs_ball_base():
@@ -346,6 +375,10 @@ def test_pullback_at_large_alpha():
     # (rising factorials in alpha) are past the float range
     coeffs = build_immersion(HartogsSpec(ball(1), F(1), F(10**30)), 20)
     with pytest.raises(ValueError, match=r"alpha=1e\+30: .* leaves the float range"):
+        verify_pullback(coeffs, [(0.0, 0.0)])
+    # past the float range alpha itself reads as inf, and the error still names it
+    coeffs = build_immersion(HartogsSpec(ball(1), F(1), F(10**400)), 20)
+    with pytest.raises(ValueError, match=r"alpha=inf: a slice factor .* leaves the float range"):
         verify_pullback(coeffs, [(0.0, 0.0)])
 
 def test_hartogs_tail_bound_memory_is_bounded():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -153,6 +155,23 @@ def test_equality_ignores_var():
     g = FactoredRational(2, [(1, 1)], [], var="m")
     assert f == g
     assert hash(f) == hash(g)
+
+
+def test_pickle_and_copy_round_trip_and_del_is_refused():
+    # the slot state cannot be restored through the refusing __setattr__, so
+    # pickling and copying go through the constructor
+    fr = FactoredRational(F(-3, 7), [(1, 1), (2, 5)], [(1, 2)], var="m")
+    for clone in (pickle.loads(pickle.dumps(fr)), copy.copy(fr), copy.deepcopy(fr)):
+        assert clone == fr and clone is not fr
+        assert (clone.scale, clone.numer, clone.denom, clone.var) == (
+            fr.scale, fr.numer, fr.denom, fr.var)
+        assert clone.to_text() == fr.to_text()
+    for name in ("scale", "numer", "denom", "var"):
+        with pytest.raises(AttributeError, match="FactoredRational is immutable"):
+            delattr(fr, name)
+        with pytest.raises(AttributeError, match="FactoredRational is immutable"):
+            setattr(fr, name, 1)
+    assert fr.scale == F(-3, 7) and fr.var == "m"
 
 
 def test_expand_factors():

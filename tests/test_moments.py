@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import mpmath
@@ -140,3 +142,11 @@ def test_gamma_quotient_oracle_all_ranks():
                 value = mpmath.mpf(exact.numerator) / exact.denominator
                 worst = max(worst, abs(value - oracle) / abs(oracle))
         assert worst < mpmath.mpf("1e-30")
+
+
+def test_moment_ratio_pickles_and_copies():
+    ratio = moment_ratio(parse_domain("I:2,3"))
+    for clone in (pickle.loads(pickle.dumps(ratio)), copy.copy(ratio), copy.deepcopy(ratio)):
+        assert clone == ratio
+        assert clone.as_rational.to_text() == ratio.as_rational.to_text()
+        assert clone.eval_at(F(5, 2)) == ratio.eval_at(F(5, 2))
