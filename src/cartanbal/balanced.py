@@ -55,7 +55,7 @@ from .errors import (
     _check_size,
 )
 from .exactnum import FactoredRational
-from .moments import moment_ratio
+from .moments import moment_converges, moment_ratio
 from .wallach import corollary_witness, hartogs_projectively_induced
 
 __all__ = [
@@ -129,11 +129,17 @@ class BalancedVerdict(namedtuple("BalancedVerdict", "balanced reason witness_m v
 
 
 def cartan_balanced(dom: CartanDomain, beta) -> bool:
-    """beta*g_B balanced iff beta > (gamma-1)/gamma (boundary rejected)."""
+    """beta*g_B balanced iff beta > (gamma-1)/gamma (boundary rejected).
+
+    Cross-asserted: balanced iff N^(beta*gamma - gamma) is integrable.
+    """
     beta = Fraction(beta)
     if beta <= 0:
         raise NonpositiveParameterError(f"beta must be positive, got {beta}")
-    return beta > Fraction(dom.gamma - 1, dom.gamma)
+    balanced = beta > Fraction(dom.gamma - 1, dom.gamma)
+    if balanced != moment_converges(dom, beta * dom.gamma - dom.gamma):
+        raise InternalConsistencyError(f"balancedness routes disagree for {dom.label} at beta={beta}")
+    return balanced
 
 
 def hartogs_necessary(spec: HartogsSpec) -> tuple[bool, bool]:

@@ -27,7 +27,7 @@ numpy is imported inside ImmersionCoefficients.slice_matrix, verify_pullback
 and _power_sum, the only code here that uses it, so build_immersion alone
 loads no numpy.  The package loads this module on the first lookup of a
 numeric name, and the CLI only in its immersion handler, so the exact code
-paths load neither this module nor numpy.
+paths load neither this module nor numpy.  Its records are namedtuples.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
@@ -126,8 +126,7 @@ def _float(x: Fraction) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class ImmersionCoefficients:
+class ImmersionCoefficients(namedtuple("ImmersionCoefficients", "spec cutoff entry_count")):
     """Squared moduli of the Hartogs immersion components over a ball base.
 
     Pairs (z multi-index mz, w power mw) are truncated at |mz| + mw <= cutoff:
@@ -139,12 +138,14 @@ class ImmersionCoefficients:
     (mw-major, then multi_index_enumerate order), expanded from those rows.
     entry_count is the length of entries.  Even the float matrix waits for a
     reader, so a build alone (the immersion subcommand without a check)
-    loads no numpy.
+    loads no numpy.  Immutable, views included: the cache is the instance
+    __dict__, which cached_property writes directly.
     """
 
-    spec: HartogsSpec
-    cutoff: int
-    entry_count: int
+    def __setattr__(self, name, value=None):
+        raise AttributeError("ImmersionCoefficients is immutable")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def slice_matrix(self) -> np.ndarray:
@@ -211,12 +212,7 @@ def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients
     return ImmersionCoefficients(spec, degree_cap, count)
 
 
-@dataclass(frozen=True)
-class PullbackCheck:
-    max_rel_error: float
-    tail_bound: float  # relative, analytic, valid for all checked samples
-    samples_checked: int
-    worst_sample: tuple | None
+PullbackCheck = namedtuple("PullbackCheck", "max_rel_error tail_bound samples_checked worst_sample")
 
 
 def _squared_norm(z, d: int) -> float:
@@ -313,10 +309,10 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     sum of coeffs.slice_matrix at (|z|^2, |w|^2), which _power_sum evaluates
     as it stands, in chunks of samples whose two (samples x cap+1) arrays
     hold at most 2,000,000 floats.
-    The returned tail_bound is the analytic truncation bound at the worst
-    sample, relative to the target value, and the measured error must stay
-    below it (up to float roundoff).  A target or a slice factor past the
-    float range is a ValueError naming alpha.
+    The returned tail_bound is the analytic truncation bound, relative to the
+    target value and valid at every sample; the measured error stays below it
+    (up to float roundoff).  Past the float range, mu is a ValueError naming
+    mu, a target one naming alpha, and a slice factor one naming both.
     """
     import numpy as np
 
@@ -324,6 +320,8 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     d = spec.base.dim
     cap = coeffs.cutoff
     mu, alpha = _float(spec.mu), _float(spec.alpha)
+    if not math.isfinite(mu):
+        raise ValueError(f"mu={mu}: the fiber exponent leaves the float range; lower mu")
     points = list(samples)
     if not points:
         raise ValueError("verify_pullback needs at least one sample")
@@ -350,7 +348,8 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     factors = coeffs.slice_matrix
     if not np.isfinite(factors).all():
         raise ValueError(
-            f"alpha={alpha}: a slice factor of the immersion leaves the float range; lower alpha"
+            f"mu={mu}, alpha={alpha}: a slice factor of the immersion leaves the float range;"
+            " lower mu or alpha"
         )
     step = max(1, _MAX_GRID_CELLS // (2 * (cap + 1)))
     total = np.concatenate([_power_sum(factors, bases[lo:lo + step])

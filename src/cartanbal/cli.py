@@ -12,19 +12,18 @@ version field) and --manifest (tool version, catalog hash, and the full
 parameter set, for reproducibility).  The epsilon subcommands can also dump
 their grids as CSV with columns |z|, |w|, epsilon.
 
-Render contract: a handler computes each value once and returns
-(exit code, payload, lines).  The payload holds raw values (Fraction,
-CartanDomain, bool, None, numbers, and sequences of these); where it reports
-a result object it spreads that object's fields (verdict._asdict(),
-vars(report), vars(domain)) after the request parameters instead of copying
-them key by key.  The lines are str.format templates over the payload and
-the parsed flags.  _render is the one print path: it adds the schema field
-and the manifest, then prints the payload through one JSON encoder
-(_json_default: a Fraction as "p/q", a domain as its label) or fills the
-templates (_fmt: true/false, "-" for None, sequences comma-joined; explicit
-specs such as {spread:.3e} format floats).  Errors raised while rendering
-(an integer past Python's int-to-str digit limit) exit 1 like errors raised
-while computing.
+Render contract: a handler computes each value once and returns (exit code,
+payload, lines).  The payload holds raw values (Fraction, CartanDomain,
+bool, None, numbers, and sequences of these); where it reports a result
+object it spreads that object's fields (verdict._asdict(), report._asdict(),
+vars(domain)) after the request parameters instead of copying them key by
+key.  The lines are str.format templates over the payload and the parsed
+flags.  _render is the one print path: it adds the schema field and the
+manifest, then prints the payload through one JSON encoder (_json_default: a
+Fraction as "p/q", a domain as its label) or fills the templates (_fmt:
+true/false, "-" for None, sequences comma-joined; explicit specs such as
+{spread:.3e} format floats).  Errors raised while rendering (an integer past
+Python's int-to-str digit limit) exit 1 like errors raised while computing.
 
 An exact subcommand loads only exact code: the numeric modules are imported
 inside their handlers (calabi in immersion, epsilon in the epsilon
@@ -313,7 +312,8 @@ def _cmd_corollary_scan(args):
 
 
 def _cmd_immersion(args):
-    from .calabi import _MAX_GRID_POINTS, _check_pullback_size, build_immersion, verify_pullback
+    from .calabi import (_MAX_GRID_POINTS, _check_pullback_size, _float, build_immersion,
+                         verify_pullback)
 
     spec = HartogsSpec(ball(args.d), args.mu, args.alpha)
     if args.check_grid is not None:  # the sample grid is sized before the build
@@ -321,7 +321,7 @@ def _cmd_immersion(args):
 
         rmax, n = args.check_grid
         _check_size("check_grid", f"{rmax}:{n}", n * n, "samples", _MAX_GRID_POINTS)
-        mu = float(spec.mu)
+        mu = _float(spec.mu)  # inf past the float range, refused by verify_pullback
         radii = np.linspace(0.0, rmax, n).tolist()
         # keep a margin inside |w|^2 < (1-|z|^2)^mu so the tail stays small
         grid = [(r, [w for w in radii if w**2 < 0.9 * (1.0 - r**2) ** mu]) for r in radii]
@@ -336,9 +336,8 @@ def _cmd_immersion(args):
             z = r if args.d == 1 else tuple([r / args.d**0.5] * args.d)
             samples += [(z, w) for w in ws]
         check = verify_pullback(coeffs, samples)
-        payload["check"] = {"max_rel_error": check.max_rel_error,
-                            "tail_bound": check.tail_bound,
-                            "samples_checked": check.samples_checked}
+        payload["check"] = check._asdict()
+        del payload["check"]["worst_sample"]
         lines.append("pullback check on {check[samples_checked]} samples:"
                      " max relative error {check[max_rel_error]:.3e},"
                      " tail bound {check[tail_bound]:.3e}")
@@ -347,7 +346,7 @@ def _cmd_immersion(args):
 
 def _epsilon(args, title: str, head: dict, report):
     """Shared by the epsilon subcommands: payload after head, text lines and the CSV."""
-    payload = {**head, **vars(report), "verdict": report.verdict}
+    payload = {**head, **report._asdict(), "verdict": report.verdict}
     lines = [title, f"grid points: {len(report.values)}", "min epsilon: {min_value:.12g}",
              "max epsilon: {max_value:.12g}", "spread (max-min)/max: {spread:.3e}",
              "truncation tail bound: {tail_bound:.3e}", "verdict: {verdict}"]
@@ -374,8 +373,7 @@ def _cmd_epsilon_ball(args):
 def _cmd_epsilon_hartogs(args):
     from .epsilon import DiscGrid, epsilon_hartogs_disc
 
-    nz, nw = args.grid
-    grid = DiscGrid(nz=nz, nw=nw, t_max=args.t_max, u_max=args.u_max)
+    grid = DiscGrid(*args.grid, args.t_max, args.u_max)
     report = epsilon_hartogs_disc(args.mu, args.alpha, grid=grid, caps=args.caps)
     # this payload lists the grid before the caps; _epsilon keeps that position
     head = {"mu": args.mu, "alpha": args.alpha, "grid": report.grid, "caps": args.caps}

@@ -56,13 +56,14 @@ it (the norm builders, the grid functions, the tail bound, _power_sum and the
 two log helpers), not at module level, so it loads on the first numeric call.
 The module itself loads on the first lookup of a numeric name in the package,
 or in the CLI's epsilon handlers, so the exact code paths never load it.
+EpsilonReport and DiscGrid are namedtuples; the CLI spreads report._asdict().
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .calabi import (
@@ -96,7 +97,6 @@ SPREAD_NONCONSTANT = 1e-3
 _MAX_NORMS = 25_000  # norms of one setting
 
 
-@dataclass(frozen=True, eq=False)
 class WeightedBasisNorms:
     """Squared monomial norms for one weighted Bergman setting.
 
@@ -107,14 +107,17 @@ class WeightedBasisNorms:
     or the Hartogs [j, m] norms; norms is the {key: norm} dict, in the
     builder's key order, expanded on first read.
     divergent means the defining integrals do not converge; then there is no
-    array and norms is empty.  Equality is identity.  Only ball_monomial_norms
-    and hartogs_disc_norms create instances.
+    array and norms is empty.  Immutable, views included; equality is identity,
+    as a tuple would compare arrays.  Only the two norm builders create instances.
     """
 
-    setting: str
-    params: tuple
-    _array: np.ndarray | None
-    divergent: bool
+    def __init__(self, setting: str, params: tuple, _array: np.ndarray | None, divergent: bool):
+        vars(self).update(setting=setting, params=params, _array=_array, divergent=divergent)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("WeightedBasisNorms is immutable")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def norms(self) -> dict:
@@ -146,22 +149,18 @@ def _require_convergent(norms: WeightedBasisNorms, setting: str) -> None:
         raise TrivialSpaceError(_DIVERGENT[norms.setting].format(*norms.params))
 
 
-@dataclass(frozen=True)
-class EpsilonReport:
+class EpsilonReport(namedtuple("EpsilonReport", "grid values min_value max_value spread"
+                               " truncation_degree tail_bound")):
     """Truncated epsilon on a grid; tail_bound is absolute and holds at every point.
 
+    grid holds the (|z|, |w|) pairs, with |w| = 0 on the ball; values holds
+    epsilon at each, and spread is (max_value - min_value) / max_value.
     Every omitted term is positive, so each true value lies in [v, v + tail_bound].
     verdict applies constancy_verdict to the spread moved by tail_bound / max_value
     either way, and is "inconclusive" unless both agree (always so for an infinite tail).
     """
 
-    grid: tuple  # (|z|, |w|) pairs; |w| = 0 for ball settings
-    values: tuple
-    min_value: float
-    max_value: float
-    spread: float  # (max - min) / max
-    truncation_degree: tuple
-    tail_bound: float
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
@@ -170,8 +169,7 @@ class EpsilonReport:
         return low if low == constancy_verdict(self.spread + slack) else "inconclusive"
 
 
-@dataclass(frozen=True)
-class DiscGrid:
+class DiscGrid(namedtuple("DiscGrid", "nz nw t_max u_max")):
     """Interior evaluation grid for the Hartogs disc setting.
 
     t = |z|^2 runs over nz points in [0, t_max]; the fiber coordinate is
@@ -180,21 +178,18 @@ class DiscGrid:
     tail controlled by max(t_max, u_max).
     """
 
-    nz: int = 8
-    nw: int = 8
-    t_max: float = 0.35
-    u_max: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "nz", operator.index(self.nz))
-        object.__setattr__(self, "nw", operator.index(self.nw))
-        if not (self.nz >= 1 and self.nw >= 1):
+    def __new__(cls, nz: int = 8, nw: int = 8, t_max: float = 0.35, u_max: float = 0.5):
+        nz, nw = operator.index(nz), operator.index(nw)
+        if not (nz >= 1 and nw >= 1):
             raise ValueError("grid needs at least one point per axis")
-        if not (0 <= self.t_max < 1 and 0 <= self.u_max < 1):
+        if not (0 <= t_max < 1 and 0 <= u_max < 1):
             raise SampleOutsideDomainError(
                 "grid bounds must satisfy 0 <= t_max < 1 and 0 <= u_max < 1"
             )
-        _check_size("grid", f"{self.nz}x{self.nw}", self.nz * self.nw, "points", _MAX_GRID_POINTS)
+        _check_size("grid", f"{nz}x{nw}", nz * nw, "points", _MAX_GRID_POINTS)
+        return super().__new__(cls, nz, nw, t_max, u_max)
 
 
 def _report(grid, values: np.ndarray, caps: tuple, tail: float) -> EpsilonReport:

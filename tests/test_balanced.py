@@ -21,7 +21,11 @@ from cartanbal.balanced import (
     norm_chain_ratio,
 )
 from cartanbal.catalog import ball, enumerate_catalog, make_domain, parse_domain
-from cartanbal.errors import NonpositiveParameterError, PreconditionError
+from cartanbal.errors import (
+    InternalConsistencyError,
+    NonpositiveParameterError,
+    PreconditionError,
+)
 from cartanbal.exactnum import FactoredRational
 from cartanbal.moments import moment_converges
 
@@ -55,7 +59,7 @@ def test_cartan_balanced_threshold():
         cartan_balanced(ball(1), F(-1, 2))
 
 
-def test_cartan_balanced_matches_moment_integrability():
+def test_cartan_balanced_matches_moment_integrability(monkeypatch):
     # a second route to the paper's first theorem: beta*g_B is balanced iff
     # N^(beta*gamma - gamma) is integrable; the grid k/(4 gamma) holds the
     # boundary beta = (gamma-1)/gamma at k = 4(gamma-1)
@@ -64,6 +68,10 @@ def test_cartan_balanced_matches_moment_integrability():
         for k in range(1, 8 * g + 1):
             beta = F(k, 4 * g)
             assert cartan_balanced(dom, beta) == moment_converges(dom, beta * g - g), (dom, beta)
+    # cartan_balanced asserts the same: a route that disagrees raises
+    monkeypatch.setattr("cartanbal.balanced.moment_converges", lambda dom, s: F(s) > 0)
+    with pytest.raises(InternalConsistencyError, match="I:2,3 at beta=9/10"):
+        cartan_balanced(parse_domain("I:2,3"), F(9, 10))  # gamma 5: balanced, yet s = -1/2
 
 
 def test_final_quantity_frozen_examples():

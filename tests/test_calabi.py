@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import time
@@ -161,7 +160,8 @@ def test_immersion_entries_are_lazy():
     # the 39,711 eager entries peaked at 9.0 MB and the 1,891 exact slice
     # factors take ~0.2 MB; a build computes no view at all
     assert peak < 1e6, peak
-    assert vars(coeffs) == {"spec": spec, "cutoff": 60, "entry_count": 39_711}
+    assert coeffs._asdict() == {"spec": spec, "cutoff": 60, "entry_count": 39_711}
+    assert vars(coeffs) == {}
     # the pullback reads only the float matrix
     verify_pullback(coeffs, [((0.2, 0.1), 0.3)])
     assert "slice_matrix" in vars(coeffs)
@@ -178,7 +178,7 @@ def test_pullback_reads_the_slice_factors():
     assert verify_pullback(coeffs, sample).max_rel_error < 1e-13
     matrix = coeffs.slice_matrix.copy()
     matrix[1, 1] *= 1 + 1e-6  # n = 1, mw = 1
-    perturbed = dataclasses.replace(coeffs)
+    perturbed = coeffs._replace()
     vars(perturbed)["slice_matrix"] = matrix
     check = verify_pullback(perturbed, sample)
     assert check.max_rel_error > check.tail_bound + 1e-13
@@ -355,6 +355,20 @@ def test_pullback_memory_is_bounded_per_chunk():
     with pytest.raises(ValueError, match="samples=64517 needs 2,000,027 cells"):
         verify_pullback(coeffs, (samples * 32)[:64_517])
 
+
+
+def test_pullback_names_a_huge_mu():
+    # past the float range mu reads as inf and is refused by name before any
+    # sample is checked; at mu 10^300 the slice factors overflow, and the
+    # error names both parameters
+    samples = [(0.0, 0.0), (0.2, 0.1)]
+    coeffs = build_immersion(HartogsSpec(ball(1), F(10**400), F(3)), 20)
+    with pytest.raises(ValueError, match=r"^mu=inf: .* leaves the float range; lower mu$"):
+        verify_pullback(coeffs, samples)
+    coeffs = build_immersion(HartogsSpec(ball(1), F(10**300), F(3)), 20)
+    with pytest.raises(ValueError, match=r"^mu=1e\+300, alpha=3\.0: a slice factor .* lower mu or"
+                                         r" alpha$"):
+        verify_pullback(coeffs, samples[:1])
 
 
 def test_pullback_at_large_alpha():

@@ -446,7 +446,16 @@ def test_immersion_check_at_large_alpha(capsys):
     code, out, err = run(capsys, "immersion", "--mu", "1", "--alpha", str(10**30), "--cap", "20",
                          "--check-grid", "0.4:1")
     assert code == 1 and out == ""
-    assert err.startswith("error: alpha=1e+30: ") and err.count("\n") == 1
+    assert err.startswith("error: mu=1.0, alpha=1e+30: ") and err.count("\n") == 1
+    assert "float range" in err and "Traceback" not in err
+
+
+def test_immersion_check_names_a_huge_mu(capsys):
+    # mu = 10^400 is past the float range: one error line that names mu
+    code, out, err = run(capsys, "immersion", "--mu", str(10**400), "--alpha", "3", "--cap", "20",
+                         "--check-grid", "0.4:1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: mu=inf: ") and err.count("\n") == 1
     assert "float range" in err and "Traceback" not in err
 
 
@@ -495,7 +504,7 @@ def _probe_modules(argvs, watched, preamble=""):
 def test_exact_path_leaves_numeric_stack_out():
     # exact code loads neither numpy nor scipy, and no numeric module: calabi
     # and epsilon load on first use, hashlib only for --manifest and csv only
-    # for --csv; dataclasses (and inspect under it) only with calabi and epsilon
+    # for --csv; no step loads dataclasses, and only numpy brings inspect
     exact = [
         (["catalog"], 0),
         (["wallach", "--domain", "I:2,3"], 0),
@@ -516,14 +525,13 @@ def test_exact_path_leaves_numeric_stack_out():
     assert steps[:2] == [["import cartanbal", None, []], ["import cartanbal.cli", None, []]]
     for (argv, code), step in zip(exact, steps[2:]):
         assert step == [" ".join(argv), code, []]
-    assert steps[-3] == [" ".join(immersion), 0, ["cartanbal.calabi", "dataclasses", "inspect"]]
-    assert steps[-2] == [" ".join(manifest), 0,
-                         ["cartanbal.calabi", "dataclasses", "hashlib", "inspect"]]
+    assert steps[-3] == [" ".join(immersion), 0, ["cartanbal.calabi"]]
+    assert steps[-2] == [" ".join(manifest), 0, ["cartanbal.calabi", "hashlib"]]
     _, code, loaded = steps[-1]
     assert code == 0
     assert "cartanbal.epsilon" in loaded and "csv" not in loaded
     assert {name.partition(".")[0] for name in loaded} == {
-        "cartanbal", "dataclasses", "hashlib", "inspect", "numpy"}
+        "cartanbal", "hashlib", "inspect", "numpy"}
 
 
 def test_numeric_subcommands_run_without_scipy():

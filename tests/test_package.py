@@ -1,7 +1,11 @@
+import contextlib
+import copy
 import importlib
+import io
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import cartanbal
+from cartanbal.cli import main
 
 _MODULES = ("catalog", "exactnum", "wallach", "moments", "balanced", "calabi", "epsilon", "errors")
 
@@ -155,3 +160,46 @@ def test_exact_record_order_repr_and_coercion():
     for mu, alpha in [(0, 3), (-1, 3), (2, 0), (2, Fraction(-1, 2))]:
         with pytest.raises(cartanbal.NonpositiveParameterError):
             cartanbal.HartogsSpec(dom, mu, alpha)
+
+
+def test_numeric_records_keep_their_frozen_semantics():
+    # what the frozen dataclasses guaranteed: no assignment or deletion, of a
+    # field, a cached view or a new name; pickle and both copies round-trip;
+    # DiscGrid's defaults; and the report's fields are its payload keys
+    coeffs = cartanbal.build_immersion(cartanbal.HartogsSpec(cartanbal.ball(1), 1, 3), 6)
+    check = cartanbal.verify_pullback(coeffs, [(0.1, 0.2)])  # caches coeffs.slice_matrix
+    norms = cartanbal.hartogs_disc_norms(1.0, 3.0, (4, 4))
+    assert norms.norms  # caches the dict view
+    report = cartanbal.epsilon_ball(1, 3.0, 0.5, 10, grid_points=3)
+    grid = cartanbal.DiscGrid()
+    assert (grid.nz, grid.nw, grid.t_max, grid.u_max) == (8, 8, 0.35, 0.5)
+    cases = [(coeffs, ["spec", "entry_count", "slice_matrix"]), (check, ["tail_bound"]),
+             (norms, ["params", "_array", "norms"]), (report, ["spread"]), (grid, ["nz"])]
+    for record, names in cases:
+        for name in names + ["no_such_field"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        clones = [pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)]
+        for clone in clones:
+            assert type(clone) is type(record) and clone is not record
+            if record is norms:  # equality is identity: compare the fields and the array
+                assert (clone.setting, clone.params, clone.divergent) == (
+                    norms.setting, norms.params, norms.divergent)
+                assert clone._array.tolist() == norms._array.tolist()
+                assert clone.norms == norms.norms
+            else:
+                assert clone == record
+    fields = ["grid", "values", "min_value", "max_value", "spread", "truncation_degree",
+              "tail_bound"]
+    assert list(report._asdict()) == fields
+    heads = {("epsilon-ball", "--alpha", "3", "--cap", "8"): ["d", "alpha", "rmax", "cap"],
+             ("epsilon-hartogs", "--mu", "1", "--alpha", "3", "--grid", "2x2", "--caps", "8,8"):
+             ["mu", "alpha", "grid", "caps"]}
+    for argv, head in heads.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--json"]) == 0
+        keys = [key for key in fields if key not in head]  # the hartogs head holds the grid
+        assert list(json.loads(out.getvalue())) == ["schema", *head, *keys, "verdict"]
