@@ -100,6 +100,11 @@ class HartogsSpec(namedtuple("HartogsSpec", "base mu alpha")):
             raise NonpositiveParameterError(f"alpha must be positive, got {alpha}")
         return super().__new__(cls, base, mu, alpha)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so _make and _replace validate as the constructor does."""
+        return cls(*iterable)
+
     @property
     def label(self) -> str:
         return f"{self.base.label} mu={self.mu} alpha={self.alpha}"
@@ -122,6 +127,11 @@ class BalancedVerdict(namedtuple("BalancedVerdict", "balanced reason witness_m v
         if (self.witness_m is not None) != (self.reason == REASON_M_DEPENDENCE):
             raise ValueError("witness fields present iff reason is m_dependence")
         return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so _make and _replace validate as the constructor does."""
+        return cls(*iterable)
 
     @property
     def ratio_constant(self) -> bool | None:

@@ -17,15 +17,15 @@ which verify_pullback checks numerically on sample points, with an analytic
 bound on the truncated tail.  Each coefficient is a per-(mw, |mz|) slice factor
 times the multinomial |mz|!/prod_i mz_i!.  As
 sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the pullback sum is the
-power sum of the float slice matrix [|mz|, mw] at (|z|^2, |w|^2), built as a
-cumulative product of the rising-factorial steps; _power_sum, kept here with
-the grid limits and _squared_norm, evaluates it and epsilon.py's two sums.
+power sum of the float slice matrix [|mz|, mw] at (|z|^2, |w|^2).  Kept here
+with the grid limits and _squared_norm: _rising_table, which builds it and
+epsilon.py's coefficients, and _power_sum, which evaluates all three sums.
 The exact slice factors and the entries dict are expanded only when read,
 and no request path reads them.
 
-numpy is imported inside ImmersionCoefficients.slice_matrix, verify_pullback
-and _power_sum, the only code here that uses it, so build_immersion alone
-loads no numpy.  The package loads this module on the first lookup of a
+numpy is imported inside ImmersionCoefficients.slice_matrix, verify_pullback,
+_rising_table and _power_sum, the only code that uses it, so build_immersion
+alone loads no numpy.  The package loads this module on the first lookup of a
 numeric name, and the CLI only in its immersion handler, so the exact code
 paths load neither this module nor numpy.  Its records are namedtuples.
 """
@@ -118,6 +118,16 @@ def ball_h_coefficients(d: int, k, degree_cap: int) -> dict[tuple[int, ...], Fra
             for index, degree, multinomial in _multinomials(d, degree_cap)}
 
 
+def _rising_table(weights, s, rows: int) -> np.ndarray:
+    """Floats [n, k] = weights[k] * rising(s[k], n)/n!, n < rows, inf past the float range:
+    one cumulative product down the weights stacked on the steps (s[k]+n-1)/n."""
+    import numpy as np
+
+    n = np.arange(1.0, rows)[:, None]
+    with np.errstate(over="ignore"):
+        return np.cumprod(np.vstack((weights, (n - 1.0 + s) / n)), axis=0)
+
+
 def _float(x: Fraction) -> float:
     """float(x) for x > 0, or inf past the float range (float(x) raises there)."""
     try:
@@ -147,24 +157,25 @@ class ImmersionCoefficients(namedtuple("ImmersionCoefficients", "spec cutoff ent
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        """Pickle and copy through the constructor: a clone recomputes its views."""
+        return ImmersionCoefficients, tuple(self)
+
     @cached_property
     def slice_matrix(self) -> np.ndarray:
         """Read-only floats [n, mw]: zero where n + mw > cutoff, inf past the float range.
 
-        Row 0 holds the fiber weights rising(alpha, mw)/mw!, a cumulative
-        product of the steps (alpha+k-1)/k; one cumulative product down each
-        column then multiplies in the steps (mu(alpha+mw)+n-1)/n.
+        The fiber weights rising(alpha, mw)/mw! head the columns of one
+        _rising_table in the steps of rising(mu(alpha+mw), n)/n!.
         """
         import numpy as np
 
         cap = self.cutoff
         mu, alpha = _float(self.spec.mu), _float(self.spec.alpha)
-        k = np.arange(1.0, cap + 1.0)
         mw = np.arange(cap + 1.0)
         with np.errstate(over="ignore"):
-            weights = np.cumprod(np.concatenate(([1.0], (alpha + k - 1.0) / k)))
-            steps = (mu * (alpha + mw) + k[:, None] - 1.0) / k[:, None]
-            matrix = np.cumprod(np.vstack((weights, steps)), axis=0)
+            weights = _rising_table([1.0], [alpha], cap + 1)[:, 0]
+            matrix = _rising_table(weights, mu * (alpha + mw), cap + 1)
         matrix[mw[:, None] + mw > cap] = 0.0
         matrix.flags.writeable = False
         return matrix

@@ -20,9 +20,9 @@ is pi^k times a product of Beta values:
   ball(2):       pi^2 B(m1+1, m2+1) B(m1+m2+2, alpha-2)
   Hartogs disc:  pi^2 B(m+1, alpha-2) B(j+1, mu(alpha+m)-1)
 
-Each first Beta argument is an integer, so the norms are read from _log_beta
-tables: B(n+1, c) = B(n, c) n/(n+c) summed in logs.  The tests check them
-against nested quadrature of the unfactorised integrals and mpmath Beta values.
+Each first Beta argument is an integer, so 1/B(n+1, c) = c rising(c+1, n)/n!
+and each array is one calabi._rising_table.  The tests check the norms against
+nested quadrature of the unfactorised integrals and mpmath Beta values.
 
 Divergent norms are never reported as numbers.  Each setting tests its exact
 integrability threshold once, where its norms are built (alpha > d for the
@@ -39,9 +39,9 @@ the disc epsilon(z, w) = (N^mu - |w|^2)^alpha sum |z^j w^m|^2/||z^j w^m||^2.
 Each sum is a power sum in the squared moduli.  A ball norm is a radial
 row entry r_|m| over the multinomial |m|!/prod_i m_i!, and those multinomials
 sum the |z^m|^2 to |z|^(2n), so the ball sum is sum_n t^n / r_n in t = |z|^2.
-Each setting keeps one dense array (the row r_n, the Hartogs [j, m] norms);
-its reciprocal is the coefficients, and _power_sum (calabi.py, shared with
-the pullback) evaluates it at one point or on a whole grid.
+Each setting keeps one dense array of coefficients (the row 1/r_n, the
+Hartogs [j, m] reciprocal norms); _power_sum (calabi.py, shared with the
+pullback) evaluates it at one point or on a whole grid.
 Constancy of epsilon over a grid is the numerical signature of balancedness:
 constancy_verdict reads a spread below 1e-5 as constant, above 1e-3 as
 non-constant, and between them as inconclusive.  Omitted terms are positive,
@@ -52,8 +52,8 @@ over (grid points x fiber powers).  Sizes (norms, grid points, evaluation
 arrays) are checked against module limits before any norm is built.
 
 numpy, the only numeric dependency, is imported inside the functions that call
-it (the norm builders, the grid functions, the tail bound, _power_sum and the
-two log helpers), not at module level, so it loads on the first numeric call.
+it (the Hartogs norms, the grid functions, the tail bound, _xlogy and calabi's
+helpers), not at module level, so it loads on the first numeric call.
 The module itself loads on the first lookup of a numeric name in the package,
 or in the CLI's epsilon handlers, so the exact code paths never load it.
 EpsilonReport and DiscGrid are namedtuples; the CLI spreads report._asdict().
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import namedtuple
 from functools import cached_property
 
@@ -71,6 +72,7 @@ from .calabi import (
     _MAX_GRID_POINTS,
     _multinomials,
     _power_sum,
+    _rising_table,
     _squared_norm,
 )
 from .errors import SampleOutsideDomainError, TrivialSpaceError, _check_size
@@ -102,44 +104,60 @@ class WeightedBasisNorms:
 
     setting is "ball" (params d, alpha; keys are int degrees for d=1 and
     multi-index tuples for d=2) or "hartogs-disc" (params mu, alpha; keys are
-    (z degree, w degree) pairs).  The norms are stored as the dense array the
-    builder computes: the ball row r_n with ||z^m||^2 = r_|m| m1! m2! / |m|!,
-    or the Hartogs [j, m] norms; norms is the {key: norm} dict, in the
-    builder's key order, expanded on first read.
+    (z degree, w degree) pairs).  _array holds the read-only coefficients the
+    sums read: the ball row 1/r_n with ||z^m||^2 = r_|m| m1! m2! / |m|!, or
+    the Hartogs [j, m] reciprocal norms; norms is the {key: norm} dict, in the
+    builder's key order, expanded on first read.  Outside the float range (a
+    coefficient above max, a norm at or below 1/max) either one is refused.
     divergent means the defining integrals do not converge; then there is no
     array and norms is empty.  Immutable, views included; equality is identity,
-    as a tuple would compare arrays.  Only the two norm builders create instances.
+    as a tuple would compare arrays.  Only the two norm builders create
+    instances; pickles and copies go through the constructor.
     """
 
     def __init__(self, setting: str, params: tuple, _array: np.ndarray | None, divergent: bool):
         vars(self).update(setting=setting, params=params, _array=_array, divergent=divergent)
+        if _array is not None:
+            _array.flags.writeable = False
+            if not math.isfinite(_array.max()):  # every coefficient is positive
+                raise self._range_error("a coefficient")
 
     def __setattr__(self, name, value=None):
         raise AttributeError("WeightedBasisNorms is immutable")
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return WeightedBasisNorms, (self.setting, self.params, self._array, self.divergent)
+
+    def _range_error(self, what: str) -> ValueError:
+        caps = tuple(n - 1 for n in self._array.shape)
+        where = _LABEL[self.setting].format(caps, *self.params)
+        return ValueError(f"{where}: {what} leaves the float range; lower the cap")
+
     @cached_property
     def norms(self) -> dict:
         if self.divergent:
             return {}
-        rows = self._array.tolist()
+        rows = (1.0 / self._array).tolist()
         if self.setting == "hartogs-disc":  # the w degree ascends slowest
-            return {(j, m): rows[j][m] for m in range(len(rows[0])) for j in range(len(rows))}
-        if self.params[0] == 1:
-            return dict(enumerate(rows))
-        return {m: rows[n] / multinomial for m, n, multinomial in _multinomials(2, len(rows) - 1)}
-
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        """1/_array: the power-series coefficients of the epsilon sum."""
-        return 1.0 / self._array
+            norms = {(j, m): rows[j][m] for m in range(len(rows[0])) for j in range(len(rows))}
+        elif self.params[0] == 1:
+            norms = dict(enumerate(rows))
+        else:
+            norms = {m: rows[n] / multinomial
+                     for m, n, multinomial in _multinomials(2, len(rows) - 1)}
+        if not min(norms.values()) > 1.0 / sys.float_info.max:
+            raise self._range_error(f"the smallest squared norm, {min(norms.values()):.3g},")
+        return norms
 
 
 _DIVERGENT = {
     "ball": "alpha must exceed d = {} for a nontrivial space, got {}",
     "hartogs-disc": "norms diverge for mu={}, alpha={} (needs alpha > 2 and alpha*mu > 1)",
 }
+_LABEL = {"ball": "degree_cap={0[0]} with d={1}, alpha={2}",
+          "hartogs-disc": "caps={0} with mu={1}, alpha={2}"}
 
 
 def _require_convergent(norms: WeightedBasisNorms, setting: str) -> None:
@@ -191,6 +209,11 @@ class DiscGrid(namedtuple("DiscGrid", "nz nw t_max u_max")):
         _check_size("grid", f"{nz}x{nw}", nz * nw, "points", _MAX_GRID_POINTS)
         return super().__new__(cls, nz, nw, t_max, u_max)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so _make and _replace validate as the constructor does."""
+        return cls(*iterable)
+
 
 def _report(grid, values: np.ndarray, caps: tuple, tail: float) -> EpsilonReport:
     values = values.tolist()
@@ -207,19 +230,6 @@ def constancy_verdict(spread: float) -> str:
     return "inconclusive"
 
 
-def _log_beta(n_max: int, c) -> np.ndarray:
-    """log B(n+1, c) for n = 0..n_max along axis 0, for every c > 0 of the array c.
-
-    B(1, c) = 1/c and B(n+1, c) = B(n, c) n/(n+c), so the table is -log c plus
-    the cumulative sum of -log1p(c/k), k = 1..n.
-    """
-    import numpy as np
-
-    c = np.asarray(c, dtype=float)
-    k = np.arange(1.0, n_max + 1.0).reshape(-1, *(1,) * c.ndim)
-    return np.cumsum(np.concatenate([-np.log(c)[None], -np.log1p(c / k)]), axis=0)
-
-
 def _xlogy(x, y) -> np.ndarray:
     """x log y with 0 log 0 = 0 and log 0 = -inf, raising no numpy warning."""
     import numpy as np
@@ -232,18 +242,6 @@ def _xlogy(x, y) -> np.ndarray:
 # ball norms and epsilon
 
 
-def _check_invertible(norms, setting: str) -> None:
-    """ValueError when the smallest norm has no finite float reciprocal."""
-    import numpy as np
-
-    # compare with 1/max rather than multiply by max: the check cannot overflow
-    if not norms.min() > 1.0 / float(np.finfo(float).max):
-        raise ValueError(
-            f"{setting}: the smallest squared norm is {norms.min():.3g}, whose"
-            " reciprocal leaves the float range; lower the cap"
-        )
-
-
 def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     """Squared monomial norms on the ball, or a divergence flag if alpha <= d.
 
@@ -253,11 +251,10 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
          ||z^m||^2 = pi^2 * int u^m1 (1-u)^m2 du * int rho^(|m|+1) (1-rho)^(alpha-3) drho
                    = pi^2 B(m1+1, m2+1) B(|m|+2, alpha-2),
          keys all multi-indices with |m| <= degree_cap.  B(m1+1, m2+1) is
-         m1! m2!/(n+1)!, n = |m|, so the array is r_n = pi^2 B(n+2, alpha-2)/(n+1).
-    Either array has degree_cap+1 entries, one per degree.
+         m1! m2!/(n+1)!, n = |m|, so r_n = pi^2 B(n+2, alpha-2)/(n+1).
+    For either d, 1/r_n = rising(alpha-d, d)/pi^d * rising(alpha, n)/n!: the
+    array is that row of degree_cap+1 coefficients, one per degree.
     """
-    import numpy as np
-
     alpha, degree_cap = float(alpha), operator.index(degree_cap)
     if d not in (1, 2):
         raise ValueError(f"d must be 1 or 2, got {d}")
@@ -269,14 +266,9 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     _check_size("degree_cap", degree_cap, count, "norms", _MAX_NORMS)
     if alpha <= d:
         return WeightedBasisNorms("ball", (d, alpha), None, True)
-    if d == 1:
-        rows = least = math.pi * np.exp(_log_beta(degree_cap, alpha - 1.0))
-    else:  # the least degree-n norm is r_n / C(n, n//2), C(n, n//2) = prod_k k/(k - k//2)
-        n = np.arange(degree_cap + 1.0)
-        rows = math.pi**2 * np.exp(_log_beta(degree_cap + 1, alpha - 2.0)[1:]) / (n + 1)
-        least = rows / np.cumprod(np.maximum(n, 1.0) / np.maximum(n - n // 2, 1.0))
-    _check_invertible(least, f"degree_cap={degree_cap} with d={d}, alpha={alpha}")
-    return WeightedBasisNorms("ball", (d, alpha), rows, False)
+    weight = math.prod(alpha - k for k in range(1, d + 1)) / math.pi**d  # rising(alpha-d, d)/pi^d
+    row = _rising_table([weight], [alpha], degree_cap + 1)[:, 0]
+    return WeightedBasisNorms("ball", (d, alpha), row, False)
 
 
 def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
@@ -286,7 +278,7 @@ def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
     t = _squared_norm(z, d)
     if not t < 1.0:
         raise SampleOutsideDomainError(f"|z|^2 = {t} is not < 1")
-    return (1.0 - t) ** alpha * float(_power_sum(norms._inverse, [[t]])[0])
+    return (1.0 - t) ** alpha * float(_power_sum(norms._array, [[t]])[0])
 
 
 def epsilon_ball(
@@ -316,8 +308,8 @@ def epsilon_ball(
     radii = np.linspace(0.0, grid_rmax, grid_points)
     t = radii**2
     weight = (1.0 - t) ** alpha
-    values = weight * _power_sum(norms._inverse, t[:, None])
-    last_term = norms._inverse[-1] * t**degree_cap
+    values = weight * _power_sum(norms._array, t[:, None])
+    last_term = norms._array[-1] * t**degree_cap
     rho = t * (degree_cap + alpha) / (degree_cap + 1)
     tail = math.inf if rho.max() >= 1 else float(np.max(weight * last_term * rho / (1 - rho)))
     return _report([(r, 0.0) for r in radii.tolist()], values, (degree_cap,), tail)
@@ -338,6 +330,8 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
 
     The divergence thresholds are exact: the u integral needs alpha > 2 and
     the t integral needs mu(alpha+m) > 1 for all m >= 0, i.e. alpha*mu > 1.
+    The coefficients are the fiber row (alpha-2)/pi^2 rising(alpha-1, m)/m! times
+    c_m rising(c_m+1, j)/j!, c_m = mu(alpha+m) - 1, as 1/B(j+1, c) = c rising(c+1, j)/j!.
     """
     import numpy as np
 
@@ -353,11 +347,11 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
     _check_size("caps", (cap_z, cap_w), (cap_z + 1) * (cap_w + 1), "norms", _MAX_NORMS)
     if alpha <= 2 or alpha * mu <= 1:
         return WeightedBasisNorms("hartogs-disc", (mu, alpha), None, True)
-    c = mu * (alpha + np.arange(cap_w + 1.0)) - 1.0
-    log_beta = _log_beta(cap_z, c) + _log_beta(cap_w, alpha - 2.0)  # [j, m]
-    norms = math.pi**2 * np.exp(log_beta)
-    _check_invertible(norms, f"caps={caps} with mu={mu}, alpha={alpha}")
-    return WeightedBasisNorms("hartogs-disc", (mu, alpha), norms, False)
+    fiber = _rising_table([(alpha - 2.0) / math.pi**2], [alpha - 1.0], cap_w + 1)[:, 0]
+    with np.errstate(over="ignore"):  # inf past the float range, which the record refuses
+        c = mu * (alpha + np.arange(cap_w + 1.0)) - 1.0
+        coef = _rising_table(fiber * c, c + 1.0, cap_z + 1)  # [j, m]
+    return WeightedBasisNorms("hartogs-disc", (mu, alpha), coef, False)
 
 
 def epsilon_point_hartogs(norms: WeightedBasisNorms, z, w) -> float:
@@ -370,7 +364,7 @@ def epsilon_point_hartogs(norms: WeightedBasisNorms, z, w) -> float:
         raise SampleOutsideDomainError(
             f"(z, w) with |z|^2={t}, |w|^2={y} lies outside the domain"
         )
-    return ((1.0 - t) ** mu - y) ** alpha * float(_power_sum(norms._inverse, [(t, y)])[0])
+    return ((1.0 - t) ** mu - y) ** alpha * float(_power_sum(norms._array, [(t, y)])[0])
 
 
 def epsilon_hartogs_disc(
@@ -391,15 +385,16 @@ def epsilon_hartogs_disc(
     t = np.repeat(np.linspace(0.0, grid.t_max, grid.nz), grid.nw)  # row-major nz x nw grid
     n_mu = (1.0 - t) ** mu
     bases = np.column_stack([t, np.tile(np.linspace(0.0, grid.u_max, grid.nw), grid.nz) * n_mu])
-    values = (n_mu - bases[:, 1]) ** alpha * _power_sum(norms._inverse, bases)
-    tail = _hartogs_tail_bound(bases[:, 0], bases[:, 1], mu, alpha, *caps)
+    values = (n_mu - bases[:, 1]) ** alpha * _power_sum(norms._array, bases)
+    tail = _hartogs_tail_bound(bases[:, 0], bases[:, 1], norms)
     return _report(map(tuple, np.sqrt(bases).tolist()), values, caps, tail)
 
 
-def _hartogs_tail_bound(t, y, mu: float, alpha: float, cap_z: int, cap_w: int) -> float:
+def _hartogs_tail_bound(t, y, norms: WeightedBasisNorms) -> float:
     """Largest absolute bound on the epsilon truncation error over the points (t, y).
 
-    Terms are a(j, m) = t^j y^m / (pi^2 B(m+1, alpha-2) B(j+1, c_m)), c_m = mu(alpha+m) - 1.
+    Terms are a(j, m) = coef[j, m] t^j y^m, coef = norms._array at the caps (cap_z, cap_w),
+    coef[j, m] = 1/(pi^2 B(m+1, alpha-2) B(j+1, c_m)) and c_m = mu(alpha+m) - 1.
     One (points x fiber powers 0..cap_w+1) array holds one piece per column:
 
     * m <= cap_w: the j tail past cap_z, geometric with ratio t (j+1+c_m)/(j+1),
@@ -411,23 +406,27 @@ def _hartogs_tail_bound(t, y, mu: float, alpha: float, cap_z: int, cap_w: int) -
 
     Pieces are formed in logs with the weight ((1-t)^mu - y)^alpha folded in;
     _xlogy gives 0 log 0 = 0 and log 0 = -inf, so t = 0 and y = 0 need no special
-    case.  B(m+1, alpha-2) and B(cap_z+2, c_m) are read from _log_beta tables.
+    case.  The pieces read coef's first and last rows, stepped once more in logs,
+    which cannot overflow: coef[cap_z+1, m] = coef[cap_z, m] (1 + c_m/(cap_z+1)), and
+    coef[0, cap_w+1] = coef[0, cap_w] (alpha+cap_w-1)/(cap_w+1) c_(cap_w+1)/c_cap_w.
     The pieces are updated in place, so at most three (points x powers) arrays live.
     """
     import numpy as np
 
+    (mu, alpha), coef = norms.params, norms._array
+    cap_z, cap_w = (n - 1 for n in coef.shape)
     t, y = t[:, None], y[:, None]
     m = np.arange(cap_w + 2.0)
     c = mu * (alpha + m) - 1.0
-    log_weight = _xlogy(alpha, (1.0 - t) ** mu - y) - 2.0 * math.log(math.pi)
+    log_head = np.log(coef[0])
+    step = math.log((alpha + cap_w - 1.0) / (cap_w + 1.0)) + math.log(c[-1] / c[-2])
     log_w = _xlogy(m, y)
-    log_w += log_weight
-    log_w -= _log_beta(cap_w + 1, alpha - 2.0)
-    log_full = log_w + np.log(c)
+    log_w += _xlogy(alpha, (1.0 - t) ** mu - y)
+    log_full = log_w + np.append(log_head, log_head[-1] + step)
     log_full -= (c + 1.0) * np.log1p(-t)
     log_first = log_w  # the first omitted term of each piece, in place
     log_first += _xlogy(cap_z + 1, t)
-    log_first -= _log_beta(cap_z + 1, c)[-1]
+    log_first[:, :-1] += np.log(coef[-1]) + np.log1p(c[:-1] / (cap_z + 1))
     log_first[:, -1:] = log_full[:, -1:]
     ratio = t * (cap_z + 2 + c)
     ratio /= cap_z + 2

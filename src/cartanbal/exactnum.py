@@ -87,6 +87,11 @@ class LinearFactor(namedtuple("LinearFactor", "slope intercept")):
             raise ValueError("LinearFactor slope must be nonzero")
         return tuple.__new__(cls, (slope, intercept))
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through __new__, so _make and _replace validate as the constructor does."""
+        return cls(*iterable)
+
     def eval_at(self, x) -> Fraction:
         return self.slope * Fraction(x) + self.intercept
 

@@ -16,7 +16,7 @@ from cartanbal.calabi import (
     verify_pullback,
 )
 from cartanbal.catalog import ball, parse_domain
-from cartanbal.epsilon import _hartogs_tail_bound
+from cartanbal.epsilon import _hartogs_tail_bound, hartogs_disc_norms
 from cartanbal.errors import (
     BallNotAllowedError,
     NonpositiveParameterError,
@@ -400,9 +400,10 @@ def test_hartogs_tail_bound_memory_is_bounded():
     # the bound updates them in place and keeps at most three alive
     t = np.repeat(np.linspace(0.0, 0.35, 32), 32)
     y = np.tile(np.linspace(0.0, 0.5, 32), 32) * (1.0 - t) ** 2.0
+    norms = hartogs_disc_norms(2.0, 4.0, (80, 80))
     tracemalloc.start()
     try:
-        tail = _hartogs_tail_bound(t, y, 2.0, 4.0, 80, 80)
+        tail = _hartogs_tail_bound(t, y, norms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -362,6 +362,8 @@ def test_norms_outside_the_float_range_are_an_error(capsys):
     for argv in (
         ("epsilon-ball", "--alpha", "300.5", "--cap", "24999", "--grid-points", "5"),
         ("epsilon-hartogs", "--mu", "5", "--alpha", "300", "--caps", "150,150", "--grid", "2x2"),
+        # mu (alpha + m) itself past the float range leaked an overflow warning line
+        ("epsilon-hartogs", "--mu", "1e200", "--alpha", "1e200", "--caps", "2,2", "--grid", "2x2"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv

@@ -16,8 +16,8 @@ from cartanbal.epsilon import (
     SPREAD_NONCONSTANT,
     DiscGrid,
     EpsilonReport,
-    _log_beta as _log_beta_table,
     _power_sum,
+    _rising_table,
     ball_monomial_norms,
     constancy_verdict,
     epsilon_ball,
@@ -363,9 +363,9 @@ def _spread(n_max: int, count: int) -> list[int]:
     return sorted({round(n_max * s) for s in steps} | {round((n_max + 1) ** s) - 1 for s in steps})
 
 
-# (n_max, c) of every table the norm builders and the Hartogs tail bound read,
+# (n_max, c) over the ranges the norm builders and the Hartogs tail bound read,
 # at the largest caps and near the divergence thresholds
-_LOG_BETA_TABLES = {
+_BETA_TABLES = {
     **{f"ball1-cap24999-alpha{a}": (24_999, a - 1.0) for a in (1.001, 50.0, 300.5)},
     "ball2-cap200-integer-c": (200, np.arange(1.0, 202.0)),
     **{f"ball2-cap200-alpha{a}": (201, a - 2.0) for a in (2.001, 3.5, 300.5)},
@@ -376,12 +376,13 @@ _LOG_BETA_TABLES = {
 }
 
 
-@pytest.mark.parametrize("n_max, c", _LOG_BETA_TABLES.values(), ids=_LOG_BETA_TABLES.keys())
+@pytest.mark.parametrize("n_max, c", _BETA_TABLES.values(), ids=_BETA_TABLES.keys())
 def test_log_beta_tables_match_mpmath(n_max, c):
-    # B(n+1, c) from mpmath's Gamma functions, on up to 600 rows of a single
-    # column, or 50 rows and 50 columns; values at or below 1e-300 are not compared
+    # B(n+1, c) = 1/(c rising(c+1, n)/n!), one _rising_table, against mpmath's
+    # Gamma functions on up to 600 rows of a single column, or 50 rows and 50
+    # columns; values at or below 1e-300 are not compared
     c = np.atleast_1d(c)
-    table = np.exp(_log_beta_table(n_max, c))
+    table = 1.0 / _rising_table(c, c + 1.0, n_max + 1)
     assert table.shape == (n_max + 1, len(c))
     worst, compared = 0.0, 0
     with mpmath.workdps(30):
@@ -573,13 +574,38 @@ def test_norms_outside_the_float_range_are_refused():
         ball_monomial_norms(1, 300.5, 2000)
     with pytest.raises(ValueError, match=r"caps=\(150, 150\) with mu=5\.0, alpha=300\.0"):
         hartogs_disc_norms(5, 300, (150, 150))
-    # the threshold: the smallest norm is 1.7e-309 (subnormal, nonzero) at
-    # alpha 217.5 and just above 1/max at 217.4
-    with pytest.raises(ValueError, match="float range"):
+    # the threshold: the largest coefficient passes max at alpha 217.5 (its
+    # norm would be 1.7e-309, subnormal) and is 1.5e308 at 217.4
+    with pytest.raises(ValueError, match="a coefficient leaves the float range"):
         ball_monomial_norms(1, 217.5, 2000)
     norms = ball_monomial_norms(1, 217.4, 2000)
     assert min(norms.norms.values()) > 1.0 / np.finfo(float).max
-    assert np.isfinite(norms._inverse).all()
+    assert np.isfinite(norms._array).all()
+
+
+def test_hartogs_tail_bound_steps_past_the_float_range_in_logs():
+    # caps (100, 100) are the largest these coefficients allow, so the tail's
+    # next row and next column lie past the float range; stepped on in logs,
+    # the bound stays finite (3.4e-27) and the verdict decisive
+    for caps in ((101, 100), (100, 101)):
+        with pytest.raises(ValueError, match="a coefficient leaves the float range"):
+            hartogs_disc_norms(404.5, 2.5, caps)
+    report = epsilon_hartogs_disc(404.5, 2.5, DiscGrid(3, 3, 1e-4, 0.5), (100, 100))
+    assert 0 < report.tail_bound < 1e-20
+    assert report.verdict == "non-constant"
+
+
+def test_ball2_epsilon_needs_no_norm_in_the_float_range():
+    # every coefficient 1/r_n is finite (at most 7.9e254), but the least
+    # degree-222 norm r_222/C(222, 111) is 3.5e-321: epsilon reads only the
+    # coefficients and computes, while the norms dict refuses
+    report = epsilon_ball(2, 1000.0, 0.9, 222, grid_points=3)
+    assert report.values[0] == pytest.approx(998 * 999 / math.pi**2, rel=1e-14)
+    assert all(math.isfinite(value) for value in report.values)
+    norms = ball_monomial_norms(2, 1000.0, 222)
+    with pytest.raises(ValueError, match=r"degree_cap=222 with d=2, alpha=1000\.0: the smallest"
+                                         r" squared norm, 3\.5e-321, leaves the float range"):
+        norms.norms
 
 
 def test_report_verdict_respects_tail_bound():

@@ -162,6 +162,42 @@ def test_exact_record_order_repr_and_coercion():
             cartanbal.HartogsSpec(dom, mu, alpha)
 
 
+class _Twelve:
+    def __index__(self):
+        return 12
+
+
+def test_replace_and_make_validate_like_the_constructor():
+    spec = cartanbal.HartogsSpec(cartanbal.ball(1), 1, 3)
+    verdict = cartanbal.hartogs_balanced(spec)
+    factor = cartanbal.LinearFactor(1, 2)
+    grid = cartanbal.DiscGrid()
+    invalid = [
+        (lambda: spec._replace(mu=-1), cartanbal.NonpositiveParameterError,
+         "mu must be positive, got -1"),
+        (lambda: verdict._replace(witness_m=3), ValueError,
+         "witness fields present iff reason is m_dependence"),
+        (lambda: factor._replace(slope=0), ValueError, "LinearFactor slope must be nonzero"),
+        (lambda: grid._replace(nz=0), ValueError, "grid needs at least one point per axis"),
+        (lambda: grid._replace(u_max=1.0), cartanbal.SampleOutsideDomainError, "grid bounds"),
+        (lambda: cartanbal.LinearFactor._make((0, 1)), ValueError, "slope must be nonzero"),
+    ]
+    for build, error, message in invalid:
+        with pytest.raises(error, match=message):
+            build()
+    # a valid replacement is coerced as the constructor coerces
+    moved = spec._replace(mu=2)
+    assert type(moved) is cartanbal.HartogsSpec and moved.mu == 2 and type(moved.mu) is Fraction
+    made = cartanbal.HartogsSpec._make((cartanbal.ball(1), "3/2", 4))
+    assert type(made) is cartanbal.HartogsSpec and made.mu == Fraction(3, 2)
+    assert type(made.alpha) is Fraction
+    wider = grid._replace(nz=_Twelve())  # an index, stored as the int it stands for
+    assert type(wider) is cartanbal.DiscGrid and wider == (12, 8, 0.35, 0.5)
+    assert type(wider.nz) is int
+    assert type(verdict._replace()) is cartanbal.BalancedVerdict
+    assert factor._replace(intercept=-1) == (1, -1)
+
+
 def test_numeric_records_keep_their_frozen_semantics():
     # what the frozen dataclasses guaranteed: no assignment or deletion, of a
     # field, a cached view or a new name; pickle and both copies round-trip;
@@ -191,6 +227,12 @@ def test_numeric_records_keep_their_frozen_semantics():
                 assert clone.norms == norms.norms
             else:
                 assert clone == record
+            # the arrays the sums read stay read-only, in the record and every clone
+            for array in [getattr(r, name) for r in (record, clone)
+                          for name in ("slice_matrix", "_array") if name in names]:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 1e9
     fields = ["grid", "values", "min_value", "max_value", "spread", "truncation_degree",
               "tail_bound"]
     assert list(report._asdict()) == fields
