@@ -24,11 +24,11 @@ Each first Beta argument is an integer, so 1/B(n+1, c) = c rising(c+1, n)/n!
 and each array is one calabi._rising_table.  The tests check the norms against
 nested quadrature of the unfactorised integrals and mpmath Beta values.
 
-Divergent norms are never reported as numbers.  Each setting tests its exact
-integrability threshold once, where its norms are built (alpha > d for the
-ball; alpha > 2 and alpha*mu > 1 for the Hartogs disc), and every evaluator
-raises that setting's one TrivialSpaceError (or, for another setting's norms,
-ValueError) through _require_convergent.
+Divergent norms are never reported as numbers.  Each builder tests its
+setting's exact integrability threshold (alpha > d for the ball; alpha > 2
+and alpha*mu > 1 for the Hartogs disc) and raises TrivialSpaceError there, so
+every WeightedBasisNorms is convergent and the evaluators check only that
+they were given the right setting's norms.
 
 The epsilon function of the weight is
 
@@ -109,18 +109,17 @@ class WeightedBasisNorms:
     the Hartogs [j, m] reciprocal norms; norms is the {key: norm} dict, in the
     builder's key order, expanded on first read.  Outside the float range (a
     coefficient above max, a norm at or below 1/max) either one is refused.
-    divergent means the defining integrals do not converge; then there is no
-    array and norms is empty.  Immutable, views included; equality is identity,
-    as a tuple would compare arrays.  Only the two norm builders create
-    instances; pickles and copies go through the constructor.
+    The builders refuse a divergent setting, so every instance is convergent.
+    Immutable, views included; equality is identity, as a tuple would compare
+    arrays.  Only the two norm builders create instances; pickles and copies
+    go through the constructor.
     """
 
-    def __init__(self, setting: str, params: tuple, _array: np.ndarray | None, divergent: bool):
-        vars(self).update(setting=setting, params=params, _array=_array, divergent=divergent)
-        if _array is not None:
-            _array.flags.writeable = False
-            if not math.isfinite(_array.max()):  # every coefficient is positive
-                raise self._range_error("a coefficient")
+    def __init__(self, setting: str, params: tuple, _array: np.ndarray):
+        vars(self).update(setting=setting, params=params, _array=_array)
+        _array.flags.writeable = False
+        if not math.isfinite(_array.max()):  # every coefficient is positive
+            raise self._range_error("a coefficient")
 
     def __setattr__(self, name, value=None):
         raise AttributeError("WeightedBasisNorms is immutable")
@@ -128,7 +127,7 @@ class WeightedBasisNorms:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return WeightedBasisNorms, (self.setting, self.params, self._array, self.divergent)
+        return WeightedBasisNorms, (self.setting, self.params, self._array)
 
     def _range_error(self, what: str) -> ValueError:
         caps = tuple(n - 1 for n in self._array.shape)
@@ -137,8 +136,6 @@ class WeightedBasisNorms:
 
     @cached_property
     def norms(self) -> dict:
-        if self.divergent:
-            return {}
         rows = (1.0 / self._array).tolist()
         if self.setting == "hartogs-disc":  # the w degree ascends slowest
             norms = {(j, m): rows[j][m] for m in range(len(rows[0])) for j in range(len(rows))}
@@ -152,19 +149,13 @@ class WeightedBasisNorms:
         return norms
 
 
-_DIVERGENT = {
-    "ball": "alpha must exceed d = {} for a nontrivial space, got {}",
-    "hartogs-disc": "norms diverge for mu={}, alpha={} (needs alpha > 2 and alpha*mu > 1)",
-}
 _LABEL = {"ball": "degree_cap={0[0]} with d={1}, alpha={2}",
           "hartogs-disc": "caps={0} with mu={1}, alpha={2}"}
 
 
-def _require_convergent(norms: WeightedBasisNorms, setting: str) -> None:
+def _require_setting(norms: WeightedBasisNorms, setting: str) -> None:
     if norms.setting != setting:
         raise ValueError(f"needs {setting} norms, got {norms.setting} norms")
-    if norms.divergent:
-        raise TrivialSpaceError(_DIVERGENT[norms.setting].format(*norms.params))
 
 
 class EpsilonReport(namedtuple("EpsilonReport", "grid values min_value max_value spread"
@@ -243,7 +234,7 @@ def _xlogy(x, y) -> np.ndarray:
 
 
 def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
-    """Squared monomial norms on the ball, or a divergence flag if alpha <= d.
+    """Squared monomial norms on the ball; TrivialSpaceError if alpha <= d.
 
     d=1: ||z^m||^2 = pi * int t^m (1-t)^(alpha-2) dt = pi B(m+1, alpha-1),
          keys m = 0..degree_cap.
@@ -265,15 +256,15 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
     count = degree_cap + 1 if d == 1 else math.comb(degree_cap + 2, 2)
     _check_size("degree_cap", degree_cap, count, "norms", _MAX_NORMS)
     if alpha <= d:
-        return WeightedBasisNorms("ball", (d, alpha), None, True)
+        raise TrivialSpaceError(f"alpha must exceed d = {d} for a nontrivial space, got {alpha}")
     weight = math.prod(alpha - k for k in range(1, d + 1)) / math.pi**d  # rising(alpha-d, d)/pi^d
     row = _rising_table([weight], [alpha], degree_cap + 1)[:, 0]
-    return WeightedBasisNorms("ball", (d, alpha), row, False)
+    return WeightedBasisNorms("ball", (d, alpha), row)
 
 
 def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
     """epsilon at one point of the ball, from precomputed norms."""
-    _require_convergent(norms, "ball")
+    _require_setting(norms, "ball")
     d, alpha = norms.params
     t = _squared_norm(z, d)
     if not t < 1.0:
@@ -304,7 +295,6 @@ def epsilon_ball(
     cells = grid_points * (degree_cap + 2)
     _check_size("degree_cap", degree_cap, cells, f"cells on {grid_points} points", _MAX_GRID_CELLS)
     norms = ball_monomial_norms(d, alpha, degree_cap)
-    _require_convergent(norms, "ball")
     radii = np.linspace(0.0, grid_rmax, grid_points)
     t = radii**2
     weight = (1.0 - t) ** alpha
@@ -329,7 +319,8 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
                       = pi^2 B(m+1, alpha-2) B(j+1, mu(alpha+m)-1).
 
     The divergence thresholds are exact: the u integral needs alpha > 2 and
-    the t integral needs mu(alpha+m) > 1 for all m >= 0, i.e. alpha*mu > 1.
+    the t integral needs mu(alpha+m) > 1 for all m >= 0, i.e. alpha*mu > 1;
+    otherwise TrivialSpaceError.
     The coefficients are the fiber row (alpha-2)/pi^2 rising(alpha-1, m)/m! times
     c_m rising(c_m+1, j)/j!, c_m = mu(alpha+m) - 1, as 1/B(j+1, c) = c rising(c+1, j)/j!.
     """
@@ -346,17 +337,19 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
         raise ValueError(f"caps must be nonnegative, got {caps}")
     _check_size("caps", (cap_z, cap_w), (cap_z + 1) * (cap_w + 1), "norms", _MAX_NORMS)
     if alpha <= 2 or alpha * mu <= 1:
-        return WeightedBasisNorms("hartogs-disc", (mu, alpha), None, True)
+        raise TrivialSpaceError(
+            f"norms diverge for mu={mu}, alpha={alpha} (needs alpha > 2 and alpha*mu > 1)"
+        )
     fiber = _rising_table([(alpha - 2.0) / math.pi**2], [alpha - 1.0], cap_w + 1)[:, 0]
     with np.errstate(over="ignore"):  # inf past the float range, which the record refuses
         c = mu * (alpha + np.arange(cap_w + 1.0)) - 1.0
         coef = _rising_table(fiber * c, c + 1.0, cap_z + 1)  # [j, m]
-    return WeightedBasisNorms("hartogs-disc", (mu, alpha), coef, False)
+    return WeightedBasisNorms("hartogs-disc", (mu, alpha), coef)
 
 
 def epsilon_point_hartogs(norms: WeightedBasisNorms, z, w) -> float:
     """epsilon at one point (z, w) of the Hartogs disc domain."""
-    _require_convergent(norms, "hartogs-disc")
+    _require_setting(norms, "hartogs-disc")
     mu, alpha = norms.params
     t = abs(complex(z)) ** 2
     y = abs(complex(w)) ** 2
@@ -378,7 +371,6 @@ def epsilon_hartogs_disc(
     cells = grid.nz * grid.nw * (max(caps) + 2)
     _check_size("caps", caps, cells, f"cells on a {grid.nz}x{grid.nw} grid", _MAX_GRID_CELLS)
     norms = hartogs_disc_norms(mu, alpha, caps)
-    _require_convergent(norms, "hartogs-disc")
     mu, alpha = norms.params
     if (1.0 - grid.t_max) ** mu == 0.0:
         raise SampleOutsideDomainError(f"(1-t_max)^mu is 0 in floats: t_max={grid.t_max}, mu={mu}")

@@ -6,6 +6,7 @@ pass/fail line per criterion.
 """
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from scipy.integrate import quad
 from cartanbal import (
     FactoredRational,
     HartogsSpec,
+    TrivialSpaceError,
     ball_monomial_norms,
     balanced_scan,
     build_immersion,
@@ -114,9 +116,11 @@ def test_c06_divergence_flags():
     """Weighted norms diverge exactly when alpha <= d."""
     t0 = time.monotonic()
     for d in (1, 2):
-        for offset, divergent in ((-0.5, True), (0.0, True), (0.5, False)):
-            norms = ball_monomial_norms(d, d + offset, 5)
-            assert norms.divergent == divergent
+        for offset in (-0.5, 0.0):
+            message = f"alpha must exceed d = {d} for a nontrivial space, got {d + offset}"
+            with pytest.raises(TrivialSpaceError, match=f"^{re.escape(message)}$"):
+                ball_monomial_norms(d, d + offset, 5)
+        assert ball_monomial_norms(d, d + 0.5, 5).norms
     assert time.monotonic() - t0 < 5.0
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -36,7 +37,6 @@ def _log_beta(a, b):
 
 def test_disc_norms_match_beta_integrals():
     norms = ball_monomial_norms(1, 3.0, 10)
-    assert not norms.divergent
     assert norms.norms[0] == pytest.approx(math.pi / 2, rel=1e-12)
     assert norms.norms[1] == pytest.approx(math.pi / 6, rel=1e-12)
     for m in range(11):
@@ -48,7 +48,6 @@ def test_disc_norms_fractional_weight_singular_endpoint():
     # 1 < alpha < 2 puts an integrable singularity at the boundary
     alpha = 1.5
     norms = ball_monomial_norms(1, alpha, 8)
-    assert not norms.divergent
     for m in range(9):
         exact = math.pi * math.exp(_log_beta(m + 1, alpha - 1.0))
         assert norms.norms[m] == pytest.approx(exact, rel=1e-10)
@@ -68,16 +67,23 @@ def test_ball2_norms_match_gamma_ratio():
         assert value == pytest.approx(math.exp(log_exact), rel=1e-9)
 
 
+def _ball_divergence(d, alpha):
+    message = f"alpha must exceed d = {d} for a nontrivial space, got {alpha}"
+    return pytest.raises(TrivialSpaceError, match=f"^{re.escape(message)}$")
+
+
+def _disc_divergence(mu, alpha):
+    message = f"norms diverge for mu={mu}, alpha={alpha} (needs alpha > 2 and alpha*mu > 1)"
+    return pytest.raises(TrivialSpaceError, match=f"^{re.escape(message)}$")
+
+
 def test_divergence_flags_at_thresholds():
-    # norms diverge exactly when alpha <= d
+    # norms diverge exactly when alpha <= d, and the builder refuses them
     for d in (1, 2):
-        for alpha, expect in [(d - 0.5, True), (float(d), True), (d + 0.5, False)]:
-            norms = ball_monomial_norms(d, alpha, 4)
-            assert norms.divergent is expect, (d, alpha)
-            if expect:
-                assert norms.norms == {}
-            else:
-                assert len(norms.norms) > 0
+        for alpha in (d - 0.5, float(d)):
+            with _ball_divergence(d, alpha):
+                ball_monomial_norms(d, alpha, 4)
+        assert len(ball_monomial_norms(d, d + 0.5, 4).norms) > 0
 
 
 def test_divergence_matches_balanced_threshold():
@@ -86,9 +92,10 @@ def test_divergence_matches_balanced_threshold():
     # beta <= (gamma-1)/gamma
     for d in (1, 2):
         gamma = d + 1
-        assert ball_monomial_norms(d, float(d), 3).divergent
+        with _ball_divergence(d, float(d)):
+            ball_monomial_norms(d, float(d), 3)
         assert not cartan_balanced(ball(d), F(d, gamma))
-        assert not ball_monomial_norms(d, d + 0.5, 3).divergent
+        ball_monomial_norms(d, d + 0.5, 3)
         assert cartan_balanced(ball(d), (F(d) + F(1, 2)) / gamma)
 
 
@@ -399,7 +406,6 @@ def test_log_beta_tables_match_mpmath(n_max, c):
 def test_hartogs_norms_match_beta_products():
     mu, alpha = 1.0, 4.0
     norms = hartogs_disc_norms(mu, alpha, (6, 6))
-    assert not norms.divergent
     for (j, m), value in norms.norms.items():
         log_exact = (
             2 * math.log(math.pi)
@@ -412,7 +418,6 @@ def test_hartogs_norms_match_beta_products():
 def test_hartogs_norms_fractional_parameters():
     mu, alpha = 0.75, 2.5
     norms = hartogs_disc_norms(mu, alpha, (5, 5))
-    assert not norms.divergent
     for (j, m), value in norms.norms.items():
         log_exact = (
             2 * math.log(math.pi)
@@ -423,11 +428,12 @@ def test_hartogs_norms_fractional_parameters():
 
 
 def test_hartogs_divergence_flags():
-    assert hartogs_disc_norms(1.0, 2.0, (3, 3)).divergent  # alpha <= 2
-    assert hartogs_disc_norms(0.25, 3.0, (3, 3)).divergent  # alpha*mu <= 1
-    assert hartogs_disc_norms(0.25, 4.0, (3, 3)).divergent  # alpha*mu = 1
-    assert not hartogs_disc_norms(0.25, 4.5, (3, 3)).divergent
-    with pytest.raises(TrivialSpaceError):
+    # alpha <= 2, alpha*mu < 1 and alpha*mu = 1
+    for mu, alpha in ((1.0, 2.0), (0.25, 3.0), (0.25, 4.0)):
+        with _disc_divergence(mu, alpha):
+            hartogs_disc_norms(mu, alpha, (3, 3))
+    hartogs_disc_norms(0.25, 4.5, (3, 3))
+    with _disc_divergence(1.0, 2.0):
         epsilon_hartogs_disc(1.0, 2.0)
 
 
@@ -561,10 +567,14 @@ def test_size_limits_name_the_parameter():
         ball_monomial_norms(1, 4.0, -1)
     with pytest.raises(ValueError, match="caps must be nonnegative"):
         hartogs_disc_norms(1.0, 4.0, (-1, 3))
-    # sizes at the limits pass the checks (divergent weights build no norms)
-    assert ball_monomial_norms(1, 1.0, 24_999).divergent
-    assert ball_monomial_norms(2, 2.0, 222).divergent  # 24,976 norms
-    assert hartogs_disc_norms(1.0, 2.0, (157, 157)).divergent  # 24,964 norms
+    # sizes at the limits pass the checks: the divergent weights reach the
+    # threshold test that follows them, and build no norms
+    with pytest.raises(TrivialSpaceError):
+        ball_monomial_norms(1, 1.0, 24_999)
+    with pytest.raises(TrivialSpaceError):
+        ball_monomial_norms(2, 2.0, 222)  # 24,976 norms
+    with pytest.raises(TrivialSpaceError):
+        hartogs_disc_norms(1.0, 2.0, (157, 157))  # 24,964 norms
     assert DiscGrid(100, 100).nz == 100
 
 
