@@ -393,23 +393,24 @@ def corollary_scan(dim_cap: int, alphas=None) -> CorollaryReport:
     canonical fiber weight mu0 = gamma/(dim+1) and sample alpha at
     alpha_min + {0, 1, 10} (or an explicit alpha list).  Every row must come
     out projectively induced and not balanced.  Balls are reported as
-    excluded rows.  Failures raise (an invalid alpha is refused by
-    HartogsSpec), so every row's error is None.
+    excluded rows.  Failures raise (a nonpositive alpha is refused before any
+    row, even when every row is a ball), so every row's error is None.
     """
     dim_cap = operator.index(dim_cap)
     if dim_cap < 2:
         raise PreconditionError(f"corollary scan needs dim_cap >= 2, got {dim_cap}")
+    if alphas is not None:
+        alphas = [Fraction(a) for a in alphas]
+        for alpha in alphas:
+            if alpha <= 0:
+                raise NonpositiveParameterError(f"alpha must be positive, got {alpha}")
     rows = []
     for dom in enumerate_catalog(dim_cap):
         if dom.is_ball:
             rows.append(CorollaryRow(dom, excluded=True))
             continue
         mu0, alpha_min = corollary_witness(dom)
-        dom_alphas = (
-            [Fraction(a) for a in alphas]
-            if alphas is not None
-            else [alpha_min, alpha_min + 1, alpha_min + 10]
-        )
+        dom_alphas = alphas if alphas is not None else [alpha_min, alpha_min + 1, alpha_min + 10]
         for alpha in dom_alphas:
             spec = HartogsSpec(dom, mu0, alpha)
             rows.append(

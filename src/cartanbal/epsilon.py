@@ -131,8 +131,11 @@ class WeightedBasisNorms:
 
     def _range_error(self, what: str) -> ValueError:
         caps = tuple(n - 1 for n in self._array.shape)
-        where = _LABEL[self.setting].format(caps, *self.params)
-        return ValueError(f"{where}: {what} leaves the float range; lower the cap")
+        label, knob = _LABEL[self.setting]
+        if math.isfinite(self._array.flat[0]):  # else no cap, not even 0, fits
+            knob = "the cap"
+        return ValueError(f"{label.format(caps, *self.params)}: {what} leaves the float range;"
+                          f" lower {knob}")
 
     @cached_property
     def norms(self) -> dict:
@@ -149,8 +152,9 @@ class WeightedBasisNorms:
         return norms
 
 
-_LABEL = {"ball": "degree_cap={0[0]} with d={1}, alpha={2}",
-          "hartogs-disc": "caps={0} with mu={1}, alpha={2}"}
+# each setting's parameter label, and what to lower when its first coefficient overflows
+_LABEL = {"ball": ("degree_cap={0[0]} with d={1}, alpha={2}", "alpha"),
+          "hartogs-disc": ("caps={0} with mu={1}, alpha={2}", "mu or alpha")}
 
 
 def _require_setting(norms: WeightedBasisNorms, setting: str) -> None:

@@ -192,9 +192,10 @@ def test_corollary_scan_exit(capsys):
 
 def test_corollary_scan_invalid_alpha_exits_one(capsys):
     # exit 2 means a row's claim fails; a nonpositive alpha is an input error
-    for alphas, bad in (("0", "0"), ("-1/2,3", "-1/2")):
+    # dim_cap 2 holds only balls, so no row would ever check the alpha
+    for cap, alphas, bad in (("4", "0", "0"), ("4", "-1/2,3", "-1/2"), ("2", "0", "0")):
         for extra in ((), ("--json",)):
-            argv = ("corollary-scan", "--dim-cap", "4", f"--alphas={alphas}", *extra)
+            argv = ("corollary-scan", "--dim-cap", cap, f"--alphas={alphas}", *extra)
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, ""), argv
             assert err == f"error: alpha must be positive, got {bad}\n", argv

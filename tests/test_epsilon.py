@@ -582,8 +582,17 @@ def test_norms_outside_the_float_range_are_refused():
     # a norm at or below 1/max has no finite reciprocal, and epsilon would be nan
     with pytest.raises(ValueError, match=r"degree_cap=2000 with d=1, alpha=300\.5"):
         ball_monomial_norms(1, 300.5, 2000)
-    with pytest.raises(ValueError, match=r"caps=\(150, 150\) with mu=5\.0, alpha=300\.0"):
+    with pytest.raises(ValueError, match=r"caps=\(150, 150\) with mu=5\.0, alpha=300\.0: .*"
+                                         r"; lower the cap$"):
         hartogs_disc_norms(5, 300, (150, 150))
+    # a first coefficient past max leaves no cap to lower, so the advice names
+    # the weight: rising(alpha-2, 2)/pi^2 and (alpha-2)/pi^2 (mu alpha - 1)
+    with pytest.raises(ValueError, match=r"^degree_cap=0 with d=2, alpha=1e\+200: a coefficient"
+                                         r" leaves the float range; lower alpha$"):
+        ball_monomial_norms(2, 1e200, 0)
+    with pytest.raises(ValueError, match=r"^caps=\(0, 0\) with mu=1\.0, alpha=1e\+308: a"
+                                         r" coefficient leaves the float range; lower mu or alpha$"):
+        hartogs_disc_norms(1, 1e308, (0, 0))
     # the threshold: the largest coefficient passes max at alpha 217.5 (its
     # norm would be 1.7e-309, subnormal) and is 1.5e308 at 217.4
     with pytest.raises(ValueError, match="a coefficient leaves the float range"):
