@@ -131,9 +131,9 @@ class WeightedBasisNorms:
 
     def _range_error(self, what: str) -> ValueError:
         caps = tuple(n - 1 for n in self._array.shape)
-        label, knob = _LABEL[self.setting]
-        if math.isfinite(self._array.flat[0]):  # else no cap, not even 0, fits
-            knob = "the cap"
+        label, weight = _LABEL[self.setting]
+        # a first coefficient past max leaves no cap, not even 0, that fits
+        knob = "the cap" if math.isfinite(self._array.flat[0]) else weight
         return ValueError(f"{label.format(caps, *self.params)}: {what} leaves the float range;"
                           f" lower {knob}")
 
@@ -152,7 +152,7 @@ class WeightedBasisNorms:
         return norms
 
 
-# each setting's parameter label, and what to lower when its first coefficient overflows
+# each setting's parameter label and its weight parameters
 _LABEL = {"ball": ("degree_cap={0[0]} with d={1}, alpha={2}", "alpha"),
           "hartogs-disc": ("caps={0} with mu={1}, alpha={2}", "mu or alpha")}
 
