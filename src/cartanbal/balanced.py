@@ -25,15 +25,15 @@ N at exponent mu(alpha+m) - gamma.  The consecutive ratio
 
 telescopes into R(m) = final_quantity(m+1)/final_quantity(m), with the
 level quantity final_quantity(m) (numerator prod_{i=1..dim}(alpha+m-i),
-denominator one linear factor per dimension).  A rational function whose
-unit step ratio is constant is itself constant, so balancedness is exactly
-the constancy of final_quantity in m.  hartogs_balanced decides it on that
-one factored rational, reads an m-dependence witness off its values, and
-asserts the verdict against the closed-form characterization (balanced iff
-the base is a ball, mu = 1 and alpha > dim+1), raising
-InternalConsistencyError on any disagreement.  norm_chain_ratio builds R(m)
-from the moment ratio, as the first-principles route the tests compare
-against; no verdict calls it.
+denominator prod_c (mu(alpha+m) - gamma + c) over the dim poles c of M).  A
+rational function whose unit step ratio is constant is itself constant, so
+balancedness is exactly the constancy of final_quantity in m.
+hartogs_balanced decides it on that one factored rational, reads an
+m-dependence witness off its values, and asserts the verdict against the
+closed-form characterization (balanced iff the base is a ball, mu = 1 and
+alpha > dim+1), raising InternalConsistencyError on any disagreement.
+norm_chain_ratio builds R(m) from the moment ratio, as the first-principles
+route the tests compare against; no verdict calls it.
 
 Note on degrees: numerator and denominator of final_quantity both have
 degree dim for every catalog entry, so a degree comparison alone carries no
@@ -55,7 +55,7 @@ from .errors import (
     _check_size,
 )
 from .exactnum import FactoredRational
-from .moments import moment_converges, moment_ratio
+from .moments import _block_roots, moment_converges, moment_ratio
 from .wallach import corollary_witness, hartogs_projectively_induced
 
 __all__ = [
@@ -156,7 +156,7 @@ def hartogs_necessary(spec: HartogsSpec) -> tuple[bool, bool]:
     """(alpha > dim+1, alpha*mu > gamma-1), both required for balancedness."""
     return (
         spec.alpha > spec.base.dim + 1,
-        spec.alpha * spec.mu > spec.base.gamma - 1,
+        moment_converges(spec.base, spec.mu * spec.alpha - spec.base.gamma),
     )
 
 
@@ -164,24 +164,16 @@ def final_quantity(spec: HartogsSpec) -> FactoredRational:
     """The level quantity in the fiber degree m whose constancy is balancedness.
 
     numerator   prod_{i=1..dim} (alpha + m - i)
-    denominator prod_{j=1..r} prod_{t=0..b+a(r-j)}
-                (mu(alpha+m) - gamma + 1 - a/2 + j a/2 + t)
+    denominator prod_c (mu(alpha+m) - gamma + c), over the dim poles c of the
+                base moment ratio M
 
     Both products have dim factors.  No convergence precondition: this is a
     formal rational function.
     """
     dom = spec.base
-    numer = [(Fraction(1), spec.alpha - i) for i in range(1, dom.dim + 1)]
-    denom = []
-    for j in range(1, dom.r + 1):
-        base = (
-            spec.mu * spec.alpha
-            - dom.gamma
-            + 1
-            + Fraction((j - 1) * dom.a, 2)
-        )
-        for t in range(dom.b + dom.a * (dom.r - j) + 1):
-            denom.append((spec.mu, base + t))
+    shift = spec.mu * spec.alpha - dom.gamma
+    numer = [(1, spec.alpha - i) for i in range(1, dom.dim + 1)]
+    denom = [(spec.mu, shift + c) for c in _block_roots(dom)]
     return FactoredRational(1, numer, denom, var="m")
 
 

@@ -3,9 +3,10 @@
 Exit codes follow a uniform contract: 0 on success, 2 when a check
 subcommand evaluates its predicate to false (projective, projective-hartogs,
 balanced-cartan, balanced-hartogs, and corollary-scan when a row's claim fails),
-and 1 on any error, including bad flags.  Symbolic subcommands take exact
-rationals as "p/q" or integers and reject decimal notation; the numeric
-subcommands (epsilon-ball, epsilon-hartogs) take floats.
+and 1 on any error, including bad flags (whose message is the flag parser's
+own reason).  Symbolic subcommands take exact rationals as "p/q" or integers
+and reject decimal notation; the numeric subcommands (epsilon-ball,
+epsilon-hartogs) take floats.
 
 Every subcommand supports --json (machine-readable output with a schema
 version field) and --manifest (tool version, catalog hash, and the full
@@ -20,7 +21,8 @@ vars(domain)) after the request parameters instead of copying them key by
 key.  The lines are str.format templates over the payload and the parsed
 flags.  _render is the one print path: it adds the schema field and the
 manifest, then prints the payload through one JSON encoder (_json_default: a
-Fraction as "p/q", a domain as its label) or fills the templates (_fmt:
+Fraction as "p/q", a domain as its label; _json_ready: a float that is not
+finite as null, since JSON has no Infinity) or fills the templates (_fmt:
 true/false, "-" for None, sequences comma-joined; explicit specs such as
 {spread:.3e} format floats).  Errors raised while rendering (an integer past
 Python's int-to-str digit limit) exit 1 like errors raised while computing.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import string
@@ -131,6 +134,17 @@ def _json_default(value):
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
+def _json_ready(value):
+    """The payload with every non-finite float as None: JSON has no Infinity or NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item) for item in value]
+    return value
+
+
 def _table(columns, rows) -> list[str]:
     """Aligned text table; columns are (header, payload key) pairs over dict rows."""
     headers = [header for header, _ in columns]
@@ -164,7 +178,7 @@ def _render(args, payload: dict, lines: list[str]) -> None:
             "parameters": params,
         }
     if args.json:
-        print(json.dumps(payload, indent=2, default=_json_default))
+        print(json.dumps(_json_ready(payload), indent=2, default=_json_default))
         return
     fields = ChainMap(payload, vars(args))
     text = [_TEXT.vformat(line, (), fields) for line in lines]
@@ -177,6 +191,22 @@ def _render(args, payload: dict, lines: list[str]) -> None:
 
 # ---------------------------------------------------------------------------
 # flag value parsers
+
+
+def _flag_type(parse):
+    """parse as an argparse type whose ValueError text is the usage error's reason.
+
+    argparse reports a ValueError from a type as "invalid <function name>
+    value"; an ArgumentTypeError keeps the parser's own message.
+    """
+
+    def typed(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return typed
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -468,6 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler, help_text, flags in _SUBCOMMANDS:
         sub = subs.add_parser(name, help=help_text)
         for flag, spec in flags:
+            if spec.get("type") not in (None, int, float):
+                spec = {**spec, "type": _flag_type(spec["type"])}
             sub.add_argument(flag, **spec)
         sub.add_argument("--json", action="store_true", help="machine-readable output")
         sub.add_argument(

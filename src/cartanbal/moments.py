@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import prod
 
 from .catalog import CartanDomain
 from .exactnum import FactoredRational
@@ -41,18 +42,21 @@ class MomentRatio(namedtuple("MomentRatio", "domain as_rational block_lengths"))
         return self.as_rational.eval_at(s)
 
 
+def _block_roots(dom: CartanDomain) -> tuple:
+    """The dim poles c_j + t of M, j-major, with t < L_j; an int wherever integral."""
+    roots = []
+    for j, length in enumerate(block_lengths(dom), start=1):
+        c_j = Fraction(2 + (j - 1) * dom.a, 2)  # 1 + (j-1)a/2
+        c_j = c_j.numerator if c_j.denominator == 1 else c_j
+        roots += [c_j + t for t in range(length)]
+    return tuple(roots)
+
+
 def moment_ratio(dom: CartanDomain) -> MomentRatio:
     """The exact M(s) of the domain."""
-    lengths = block_lengths(dom)
-    scale = Fraction(1)
-    denom = []
-    for j, length in enumerate(lengths, start=1):
-        c_j = 1 + Fraction((j - 1) * dom.a, 2)
-        for t in range(length):
-            scale *= c_j + t
-            denom.append((Fraction(1), c_j + t))
-    ratio = FactoredRational(scale, (), denom, var="s")
-    return MomentRatio(dom, ratio, lengths)
+    roots = _block_roots(dom)
+    ratio = FactoredRational(prod(roots), (), [(1, c) for c in roots], var="s")
+    return MomentRatio(dom, ratio, block_lengths(dom))
 
 
 def moment_converges(dom: CartanDomain, s) -> bool:

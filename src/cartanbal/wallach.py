@@ -88,9 +88,10 @@ def corollary_witness(dom: CartanDomain) -> tuple[Fraction, Fraction]:
     """(mu0, alpha_min) for the canonical fiber-weight choice on a non-ball.
 
     mu0 = gamma/(dim+1) makes the Hartogs metric Einstein; every
-    alpha >= alpha_min = (r-1)(dim+1)a/(2*gamma) then gives a projectively
-    induced metric.  At alpha_min itself, alpha_min*mu0 = (r-1)a/2 is the top
-    discrete Wallach point, which is nonzero precisely because r >= 2.
+    alpha >= alpha_min = (r-1)(dim+1)a/(2*gamma), the continuous Wallach
+    threshold over mu0, then gives a projectively induced metric.  At
+    alpha_min itself, alpha_min*mu0 = (r-1)a/2 is the top discrete Wallach
+    point, which is nonzero precisely because r >= 2.
     """
     if dom.is_ball:
         raise BallNotAllowedError(
@@ -98,5 +99,4 @@ def corollary_witness(dom: CartanDomain) -> tuple[Fraction, Fraction]:
             "only for rank >= 2"
         )
     mu0 = Fraction(dom.gamma, dom.dim + 1)
-    alpha_min = Fraction((dom.r - 1) * (dom.dim + 1) * dom.a, 2 * dom.gamma)
-    return mu0, alpha_min
+    return mu0, wallach_set(dom).continuous_threshold / mu0

@@ -303,6 +303,24 @@ def test_usage_errors_exit_one(capsys):
         assert (code, out) == (1, ""), (flag, value)
         assert err.startswith("error: ") and err.count("\n") == 1, (flag, value, err)
         assert f"argument {flag}" in err and "Traceback" not in err, (flag, value, err)
+    # each flag parser's own reason reaches the message, and no function name does
+    hartogs = ("balanced-hartogs", "--domain", "I:1,1", "--alpha", "4")
+    epsilon = ("epsilon-hartogs", "--mu", "1", "--alpha", "3")
+    immersion = ("immersion", "--mu", "1", "--alpha", "3")
+    for argv, reason in (
+        (("wallach", "--domain", "IX:1"), "unknown family"),
+        (hartogs + ("--mu", "0.5"), "decimal notation is not accepted here"),
+        (("scan", "--mus", "1,x"), "expected an exact rational"),
+        (epsilon + ("--grid", "8y8"), "expected ROWSxCOLS"),
+        (epsilon + ("--caps", "80"), "expected two caps"),
+        (immersion + ("--check-grid", "1.5:3"), "need 0 < rmax < 1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.count("\n") == 1 and reason in err, (argv, err)
+        for name in ("parse_domain", "parse_rational", "_rational_list", "_grid_shape",
+                     "_caps_pair", "_check_grid", "typed", "invalid"):
+            assert name not in err, (argv, err)
 
 
 def test_bad_domain_is_an_error(capsys):
@@ -451,6 +469,27 @@ def test_immersion_check_at_large_alpha(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: mu=1.0, alpha=1e+30: ") and err.count("\n") == 1
     assert "float range" in err and "Traceback" not in err
+
+
+def _no_constant(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+def test_infinite_tail_bound_is_json_null(capsys):
+    # at |z| = 0.99 and cap 5 no finite tail bound exists: JSON has no
+    # Infinity token, so the bound prints as null and the text as inf
+    for argv, bound in (
+        (("epsilon-ball", "--alpha", "3", "--rmax", "0.99", "--cap", "5", "--grid-points", "2"),
+         lambda payload: payload["tail_bound"]),
+        (("immersion", "--d", "2", "--mu", "1", "--alpha", "3", "--cap", "5",
+          "--check-grid", "0.99:2"), lambda payload: payload["check"]["tail_bound"]),
+    ):
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        payload = json.loads(out, parse_constant=_no_constant)
+        assert bound(payload) is None, argv
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and re.search(r"tail bound:? inf\b", out), argv
 
 
 def test_immersion_check_names_a_huge_mu(capsys):
