@@ -239,16 +239,18 @@ def _squared_norm(z, d: int) -> float:
 
 
 def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
-    """sum_e coef[e] * prod_i b_i^(e_i) at every row b of bases.
+    """sum_e coef[e, ...] * prod_i b_i^(e_i) at every row b of bases.
 
     coef is dense with one axis per variable and zeros off the support;
-    bases is (npoints, coef.ndim).  On more than one point the first axis is
-    contracted once per distinct first coordinate and the rows are gathered;
-    the remaining axes are contracted row by row.  The saving rests on the
-    repeats: an n x n Hartogs grid has n distinct first coordinates in n^2
-    rows (32 in 1,024), while a ball grid repeats none and pays a little for
-    np.unique.  einsum without optimize never calls BLAS, whose unpinned
-    thread pool makes these small products many times slower.
+    bases is (npoints, k), k <= coef.ndim, and the leading k axes of coef are
+    contracted, so the result is (npoints,) + coef.shape[k:].  On more than
+    one point the first axis is contracted once per distinct first coordinate
+    and the rows are gathered; the remaining axes are contracted row by row.
+    The saving rests on the repeats: a --check-grid sample set repeats each
+    |z|^2 once per admissible |w| (up to 100 times at 0.6:100), while
+    distinct values pay a little for np.unique.  einsum without optimize
+    never calls BLAS, whose unpinned thread pool makes these small products
+    many times slower.
     """
     import numpy as np
 
@@ -256,10 +258,29 @@ def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
     firsts, row = (np.unique(bases[:, 0], return_inverse=True) if len(bases) > 1
                    else (bases[:, 0], [0]))
     out = np.einsum("k...,sk->s...", coef, firsts[:, None] ** np.arange(coef.shape[0]))[row]
-    for axis in range(1, coef.ndim):
+    for axis in range(1, bases.shape[1]):
         powers = bases[:, axis, None] ** np.arange(coef.shape[axis])
         out = np.einsum("sk...,sk->s...", out, powers)
     return out
+
+
+def _t_star(mu: float) -> float:
+    """The positive root of (1-t)^mu = t, by bisection: (1-t)^mu - t is decreasing.
+
+    Stops at the float fixed point, where the midpoint equals an end, or
+    after 200 halvings, whichever comes first; a step past the fixed point
+    would change neither end.
+    """
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if (1.0 - mid) ** mu - mid > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _tail_bound_rel(q: float, cap: int, mu: float, alpha: float) -> float:
@@ -277,14 +298,7 @@ def _tail_bound_rel(q: float, cap: int, mu: float, alpha: float) -> float:
     """
     if q == 0.0:
         return 0.0  # every omitted term has degree >= 1 and vanishes
-    lo, hi = 0.0, 1.0
-    for _ in range(200):  # bisection for t*: (1-t)^mu - t is decreasing
-        mid = 0.5 * (lo + hi)
-        if (1.0 - mid) ** mu - mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    t_star = lo
+    t_star = _t_star(mu)
     if q >= t_star:
         return math.inf
     best = math.inf

@@ -10,6 +10,7 @@ import pytest
 from cartanbal.balanced import HartogsSpec
 from cartanbal.calabi import (
     _multinomials,
+    _t_star,
     ball_h_coefficients,
     build_immersion,
     multi_index_enumerate,
@@ -396,14 +397,14 @@ def test_pullback_at_large_alpha():
         verify_pullback(coeffs, [(0.0, 0.0)])
 
 def test_hartogs_tail_bound_memory_is_bounded():
-    # 32x32 points and caps (80, 80) give (1024 x 82) arrays of 0.67 MB each;
-    # the bound updates them in place and keeps at most three alive
-    t = np.repeat(np.linspace(0.0, 0.35, 32), 32)
-    y = np.tile(np.linspace(0.0, 0.5, 32), 32) * (1.0 - t) ** 2.0
+    # 32 distinct t and 32 distinct u at caps (80, 80): the one (32 x 32 x 82)
+    # array of pieces is 0.67 MB, updated in place; the tables in t and u are small
+    t = np.linspace(0.0, 0.35, 32)
+    u = np.linspace(0.0, 0.5, 32)
     norms = hartogs_disc_norms(2.0, 4.0, (80, 80))
     tracemalloc.start()
     try:
-        tail = _hartogs_tail_bound(t, y, norms)
+        tail = _hartogs_tail_bound(t, u, norms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -454,3 +455,16 @@ def test_tail_bound_tracks_radius():
     # |z|^2 = 0.5625 is past t* = 0.5, where the comparison series diverges
     beyond = verify_pullback(build_immersion(spec, 20), [(0.75, 0.0)])
     assert beyond.tail_bound == math.inf
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1.0, 404.5, 1e10, 1e300])
+def test_t_star_stops_at_the_float_fixed_point(mu):
+    # the reference: all 200 halvings, with no early stop
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (1.0 - mid) ** mu - mid > 0:
+            lo = mid
+        else:
+            hi = mid
+    assert _t_star(mu) == lo

@@ -17,6 +17,7 @@ from cartanbal.epsilon import (
     SPREAD_NONCONSTANT,
     DiscGrid,
     EpsilonReport,
+    _hartogs_tail_bound,
     _power_sum,
     _rising_table,
     ball_monomial_norms,
@@ -29,6 +30,7 @@ from cartanbal.epsilon import (
 )
 from cartanbal.errors import SampleOutsideDomainError, TrivialSpaceError
 from cartanbal.moments import moment_ratio
+from oracles import hartogs_tail_bound_flat
 
 
 def _log_beta(a, b):
@@ -186,12 +188,15 @@ def test_power_sum_matches_fsum(shape, firsts):
     bases = rng.uniform(0.05, 0.9, (rows, len(shape)))
     if firsts == "repeated":  # a grid: each first coordinate appears four times
         bases[:, 0] = np.repeat(rng.uniform(0.05, 0.9, 3), 4)
-    values = _power_sum(coef, bases)
-    assert values.shape == (rows,)
-    for b, value in zip(bases.tolist(), values.tolist()):
-        exact = math.fsum(coef[e] * math.prod(x**k for x, k in zip(b, e)) for e in np.ndindex(shape))
-        assert value == pytest.approx(exact, rel=1e-12, abs=0)
-
+    # every axis contracted, then fewer base columns: the trailing axes come back
+    for columns in range(len(shape), 0, -1):
+        values = _power_sum(coef, bases[:, :columns])
+        assert values.shape == (rows,) + shape[columns:]
+        for b, value in zip(bases[:, :columns].tolist(), values):
+            for rest in np.ndindex(shape[columns:]):
+                exact = math.fsum(coef[e + rest] * math.prod(x**k for x, k in zip(b, e))
+                                  for e in np.ndindex(shape[:columns]))
+                assert value[rest] == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("cap", [6, 40])
@@ -226,6 +231,21 @@ def test_epsilon_ball_sums_once_per_grid(monkeypatch):
     for d in (1, 2):
         epsilon_ball(d, 3.5, 0.9, 100, grid_points=25)
     assert calls == [(25, 1), (25, 1)]
+
+
+def test_epsilon_hartogs_sums_once_per_distinct_t_and_u(monkeypatch):
+    # a 32x32 grid is summed over its 32 t values, then over its 32 u values,
+    # never over its 1,024 points
+    calls = []
+
+    def counting(coef, bases):
+        calls.append(np.shape(bases))
+        return _power_sum(coef, bases)
+
+    monkeypatch.setattr(epsilon_module, "_power_sum", counting)
+    epsilon_hartogs_disc(2.0, 4.0, DiscGrid(32, 32), (80, 80))
+    assert calls == [(32, 1), (32, 1)]
+
 
 def test_grids_leave_the_norm_dict_unexpanded(monkeypatch):
     built = []
@@ -612,6 +632,33 @@ def test_hartogs_tail_bound_steps_past_the_float_range_in_logs():
     report = epsilon_hartogs_disc(404.5, 2.5, DiscGrid(3, 3, 1e-4, 0.5), (100, 100))
     assert 0 < report.tail_bound < 1e-20
     assert report.verdict == "non-constant"
+
+
+@pytest.mark.parametrize("mu, alpha, caps, grid", [
+    (2.0, 4.0, (80, 80), DiscGrid(32, 32)),
+    (2.0, 4.0, (40, 40), DiscGrid(1, 9, 0.35, 0.5)),
+    (2.0, 4.0, (40, 40), DiscGrid(9, 1, 0.35, 0.5)),
+    (1.5, 3.5, (12, 20), DiscGrid(5, 4, 0.0, 0.6)),
+    (1.5, 3.5, (20, 12), DiscGrid(4, 5, 0.6, 0.0)),
+    (2.0, 4.0, (8, 8), DiscGrid(3, 3, 0.0, 0.0)),  # every point at the origin: a zero bound
+    (2.0, 40.0, (20, 20), DiscGrid(4, 4, 0.3, 0.99)),  # a divergent fiber column
+    (2.0, 4.0, (3, 5), DiscGrid(5, 5, 0.9, 0.95)),
+    (0.5, 7.25, (4, 20), DiscGrid(6, 6, 0.8, 0.3)),  # Newton's series in the j tails
+    (404.5, 2.5, (100, 100), DiscGrid(3, 3, 1e-4, 0.5)),
+    (404.5, 2.5, (100, 100), DiscGrid(32, 32, 1e-4, 0.5)),
+])
+def test_hartogs_tail_bound_matches_the_flat_oracle(mu, alpha, caps, grid):
+    # the bound over distinct t and u equals the point-by-point bound over the grid
+    norms = hartogs_disc_norms(mu, alpha, caps)
+    t = np.linspace(0.0, grid.t_max, grid.nz)
+    u = np.linspace(0.0, grid.u_max, grid.nw)
+    y = ((1.0 - t[:, None]) ** mu * u).ravel()
+    want = hartogs_tail_bound_flat(np.repeat(t, grid.nw), y, norms)
+    got = _hartogs_tail_bound(t, u, norms)
+    assert (got == math.inf) == (want == math.inf)
+    if want != math.inf:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert epsilon_hartogs_disc(mu, alpha, grid, caps).tail_bound == got
 
 
 def test_ball2_epsilon_needs_no_norm_in_the_float_range():

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import importlib
@@ -244,3 +245,37 @@ def test_numeric_records_keep_their_frozen_semantics():
             assert main([*argv, "--json"]) == 0
         keys = [key for key in fields if key not in head]  # the hartogs head holds the grid
         assert list(json.loads(out.getvalue())) == ["schema", *head, *keys, "verdict"]
+
+
+_BLAS_CALLS = {"dot", "matmul", "tensordot", "inner"}
+
+
+def _blas_uses(tree: ast.AST) -> list[str]:
+    """Nodes of tree that would reach BLAS: @, a BLAS product, einsum(optimize=...)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _BLAS_CALLS:
+                found.append(f"line {node.lineno}: {name}")
+            elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+                found.append(f"line {node.lineno}: einsum(optimize=...)")
+    return found
+
+
+def test_blas_guard_flags_each_form():
+    source = "a @ b\na @= b\nnp.dot(a, b)\nx.matmul(b)\ntensordot(a, b)\nnp.inner(a, b)\n" \
+             "np.einsum('ij,jk', a, b, optimize=True)\nnp.einsum('ij,jk', a, b)\n"
+    assert len(_blas_uses(ast.parse(source))) == 7
+
+
+def test_src_calls_no_blas():
+    # an unpinned OpenBLAS thread pool makes small products erratic, and the CLI
+    # does not pin it, so the library multiplies with einsum, unoptimized
+    src = pathlib.Path(cartanbal.__file__).parent
+    found = {path.name: uses for path in sorted(src.glob("*.py"))
+             if (uses := _blas_uses(ast.parse(path.read_text())))}
+    assert found == {}
