@@ -43,14 +43,11 @@ from typing import Iterable
 from .balanced import HartogsSpec
 from .errors import (
     BallNotAllowedError,
-    NonpositiveParameterError,
     SampleOutsideDomainError,
     _check_size,
 )
 
 __all__ = [
-    "multi_index_enumerate",
-    "ball_h_coefficients",
     "ImmersionCoefficients",
     "build_immersion",
     "PullbackCheck",
@@ -64,21 +61,11 @@ _MAX_GRID_POINTS = 10_000  # points of one epsilon grid or pullback sample grid
 _MAX_GRID_CELLS = 2_000_000  # floats in one evaluation array
 
 
-def multi_index_enumerate(dim: int, degree_cap: int) -> list[tuple[int, ...]]:
-    """All multi-indices of length dim with total degree <= degree_cap.
+def _multinomials(dim: int, degree_cap: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(m, |m|, |m|!/prod_i m_i!) for the multi-indices m of length dim with |m| <= degree_cap.
 
     Ordered by total degree, ties broken reverse-lexicographically (compare
     the reversed tuples), so for dim=2: (0,0), (1,0), (0,1), (2,0), ...
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if degree_cap < 0:
-        raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
-    return [index for index, _, _ in _multinomials(dim, degree_cap)]
-
-
-def _multinomials(dim: int, degree_cap: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """(m, |m|, |m|!/prod_i m_i!) for m in multi_index_enumerate(dim, degree_cap), in order.
 
     levels[n] lists the degree-n indices in order, the last entry ascending
     slowest; appending m_last to an index of degree n - m_last multiplies its
@@ -102,20 +89,6 @@ def _rising_row(scale: Fraction, s: Fraction, degree_cap: int) -> tuple[Fraction
         num *= s.numerator + n * s.denominator
         den *= s.denominator * (n + 1)
     return tuple(row)
-
-
-def ball_h_coefficients(d: int, k, degree_cap: int) -> dict[tuple[int, ...], Fraction]:
-    """Squared component moduli for the ball immersion at weight k > 0.
-
-    Returns {multi-index: c_m} with c_m = rising((d+1)k, |m|) / prod(m_i!),
-    truncated at total degree degree_cap; c_0 = 1.
-    """
-    k = Fraction(k)
-    if k <= 0:
-        raise NonpositiveParameterError(f"weight k must be positive, got {k}")
-    row = _rising_row(Fraction(1), (d + 1) * k, degree_cap)
-    return {index: row[degree] * multinomial
-            for index, degree, multinomial in _multinomials(d, degree_cap)}
 
 
 def _rising_table(weights, s, rows: int) -> np.ndarray:
@@ -145,7 +118,7 @@ class ImmersionCoefficients(namedtuple("ImmersionCoefficients", "spec cutoff ent
     Each view is computed on first read and cached: slice_matrix, the float
     (cutoff+1) x (cutoff+1) matrix [n, mw] of the slice factors that
     verify_pullback sums; slice_factors, the exact rows; and entries
-    (mw-major, then multi_index_enumerate order), expanded from those rows.
+    (mw-major, then in _multinomials order), expanded from those rows.
     entry_count is the length of entries.  Even the float matrix waits for a
     reader, so a build alone (the immersion subcommand without a check)
     loads no numpy.  Immutable, views included: the cache is the instance
@@ -243,21 +216,14 @@ def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
 
     coef is dense with one axis per variable and zeros off the support;
     bases is (npoints, k), k <= coef.ndim, and the leading k axes of coef are
-    contracted, so the result is (npoints,) + coef.shape[k:].  On more than
-    one point the first axis is contracted once per distinct first coordinate
-    and the rows are gathered; the remaining axes are contracted row by row.
-    The saving rests on the repeats: a --check-grid sample set repeats each
-    |z|^2 once per admissible |w| (up to 100 times at 0.6:100), while
-    distinct values pay a little for np.unique.  einsum without optimize
-    never calls BLAS, whose unpinned thread pool makes these small products
-    many times slower.
+    contracted one per base column, so the result is
+    (npoints,) + coef.shape[k:].  einsum without optimize never calls BLAS,
+    whose unpinned thread pool makes these small products many times slower.
     """
     import numpy as np
 
     bases = np.asarray(bases, dtype=float)
-    firsts, row = (np.unique(bases[:, 0], return_inverse=True) if len(bases) > 1
-                   else (bases[:, 0], [0]))
-    out = np.einsum("k...,sk->s...", coef, firsts[:, None] ** np.arange(coef.shape[0]))[row]
+    out = np.einsum("k...,sk->s...", coef, bases[:, 0, None] ** np.arange(coef.shape[0]))
     for axis in range(1, bases.shape[1]):
         powers = bases[:, axis, None] ** np.arange(coef.shape[axis])
         out = np.einsum("sk...,sk->s...", out, powers)

@@ -361,10 +361,7 @@ def _cmd_immersion(args):
                "entries": coeffs.entry_count, "check": None}
     lines = [f"spec: {spec.label}", "squared coefficients up to total degree {cap}: {entries}"]
     if args.check_grid is not None:
-        samples = []
-        for r, ws in grid:
-            z = r if args.d == 1 else tuple([r / args.d**0.5] * args.d)
-            samples += [(z, w) for w in ws]
+        samples = [((r / args.d**0.5,) * args.d, w) for r, ws in grid for w in ws]
         check = verify_pullback(coeffs, samples)
         payload["check"] = check._asdict()
         del payload["check"]["worst_sample"]

@@ -55,7 +55,10 @@ either way reads the same.  The Hartogs tail bound builds its pieces in
 logs from tables over (t, fiber power) and (u, fiber power), and only their
 sum with the log weights spans (grid points x fiber powers).  Sizes (norms,
 grid points, evaluation arrays) are checked against module limits before any
-norm is built.
+norm is built, each by the array it builds: a ball row counts degree_cap+1
+norms for either d, and a Hartogs grid the larger of its z-side power table,
+nz x (cap_z+1), and its tail bound's nz x nw x (cap_w+2) sum.  The ball(2)
+norms dict, C(degree_cap+2, 2) entries, is checked when it is first read.
 
 numpy, the only numeric dependency, is imported inside the functions that call
 it (the Hartogs norms, the grid functions, the tail bound, _xlogy and calabi's
@@ -113,7 +116,8 @@ class WeightedBasisNorms:
     (z degree, w degree) pairs).  _array holds the read-only coefficients the
     sums read: the ball row 1/r_n with ||z^m||^2 = r_|m| m1! m2! / |m|!, or
     the Hartogs [j, m] reciprocal norms; norms is the {key: norm} dict, in the
-    builder's key order, expanded on first read.  Outside the float range (a
+    builder's key order, expanded on first read, and at d=2 refused before
+    it expands past 25,000 multi-indices.  Outside the float range (a
     coefficient above max, a norm at or below 1/max) either one is refused.
     The builders refuse a divergent setting, so every instance is convergent.
     Immutable, views included; equality is identity, as a tuple would compare
@@ -151,8 +155,10 @@ class WeightedBasisNorms:
         elif self.params[0] == 1:
             norms = dict(enumerate(rows))
         else:
+            cap = len(rows) - 1
+            _check_size("degree_cap", cap, math.comb(cap + 2, 2), "norms", _MAX_NORMS)
             norms = {m: rows[n] / multinomial
-                     for m, n, multinomial in _multinomials(2, len(rows) - 1)}
+                     for m, n, multinomial in _multinomials(2, cap)}
         if not min(norms.values()) > 1.0 / sys.float_info.max:
             raise self._range_error(f"the smallest squared norm, {min(norms.values()):.3g},")
         return norms
@@ -263,8 +269,7 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
         raise ValueError(f"alpha must be finite, got {alpha}")
     if degree_cap < 0:
         raise ValueError(f"degree_cap must be >= 0, got {degree_cap}")
-    count = degree_cap + 1 if d == 1 else math.comb(degree_cap + 2, 2)
-    _check_size("degree_cap", degree_cap, count, "norms", _MAX_NORMS)
+    _check_size("degree_cap", degree_cap, degree_cap + 1, "norms", _MAX_NORMS)
     if alpha <= d:
         raise TrivialSpaceError(f"alpha must exceed d = {d} for a nontrivial space, got {alpha}")
     weight = math.prod(alpha - k for k in range(1, d + 1)) / math.pi**d  # rising(alpha-d, d)/pi^d
@@ -378,7 +383,8 @@ def epsilon_hartogs_disc(
 
     grid = grid or DiscGrid()
     caps = tuple(map(operator.index, caps))
-    cells = grid.nz * grid.nw * (max(caps) + 2)
+    # the largest arrays: the z-side powers and the tail bound's (t, u, fiber power) sum
+    cells = max(grid.nz * (caps[0] + 1), grid.nz * grid.nw * (caps[1] + 2))
     _check_size("caps", caps, cells, f"cells on a {grid.nz}x{grid.nw} grid", _MAX_GRID_CELLS)
     norms = hartogs_disc_norms(mu, alpha, caps)
     mu, alpha = norms.params

@@ -40,7 +40,6 @@ from .errors import PoleError
 
 __all__ = [
     "parse_rational",
-    "rising",
     "LinearFactor",
     "FactoredRational",
 ]
@@ -61,16 +60,6 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
-
-
-def rising(x: Fraction, n: int) -> Fraction:
-    """Rising factorial x (x+1) ... (x+n-1); exact for rational x."""
-    if n < 0:
-        raise ValueError(f"rising factorial needs n >= 0, got {n}")
-    out = Fraction(1)
-    for k in range(n):
-        out *= x + k
-    return out
 
 
 class LinearFactor(namedtuple("LinearFactor", "slope intercept")):
@@ -275,37 +264,7 @@ class FactoredRational:
         return f"FactoredRational({self})"
 
     def to_text(self) -> str:
-        """Exact round-trip form: "num: [...]; den: [...]; scale: p/q"."""
+        """Exact text form "num: [...]; den: [...]; scale: p/q"; tests/oracles.py parses it back."""
         num = ", ".join(f.render(self.var) for f in self.numer)
         den = ", ".join(f.render(self.var) for f in self.denom)
         return f"num: [{num}]; den: [{den}]; scale: {self.scale}"
-
-    _TEXT_RE = re.compile(r"^num:\s*\[(.*)\];\s*den:\s*\[(.*)\];\s*scale:\s*(\S+)$")
-    _FACTOR_RE = re.compile(r"^\s*(-?\d+)?\s*\*?\s*([A-Za-z]\w*)\s*(?:([+-])\s*(\d+))?\s*$")
-
-    @classmethod
-    def from_text(cls, text: str) -> "FactoredRational":
-        m = cls._TEXT_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"not a FactoredRational text form: {text!r}")
-
-        var = "x"
-
-        def parse_factors(blob: str) -> list[tuple[int, int]]:
-            nonlocal var
-            out = []
-            for part in filter(None, (p.strip() for p in blob.split(","))):
-                fm = cls._FACTOR_RE.match(part)
-                if not fm:
-                    raise ValueError(f"bad factor {part!r} in {text!r}")
-                slope = int(fm.group(1)) if fm.group(1) else 1
-                var = fm.group(2)
-                inter = int(fm.group(4) or 0)
-                if fm.group(3) == "-":
-                    inter = -inter
-                out.append((slope, inter))
-            return out
-
-        numer = parse_factors(m.group(1))
-        denom = parse_factors(m.group(2))
-        return cls(parse_rational(m.group(3)), numer, denom, var=var)

@@ -1,5 +1,8 @@
 """Flat reference implementations kept as test oracles (not collected).
 
+factored_from_text parses FactoredRational.to_text back, the check on the
+moment-ratio round_trip payload: no request path reads that form.
+
 hartogs_tail_bound_flat is the Hartogs epsilon tail bound evaluated point by
 point: one (points x fiber powers) array per piece, with no use of the
 t x u product structure of the grid, which epsilon._hartogs_tail_bound
@@ -9,8 +12,42 @@ the weight shows as a mismatch.
 """
 
 import math
+import re
 
 import numpy as np
+
+from cartanbal.exactnum import FactoredRational, parse_rational
+
+_TEXT_RE = re.compile(r"^num:\s*\[(.*)\];\s*den:\s*\[(.*)\];\s*scale:\s*(\S+)$")
+_FACTOR_RE = re.compile(r"^\s*(-?\d+)?\s*\*?\s*([A-Za-z]\w*)\s*(?:([+-])\s*(\d+))?\s*$")
+
+
+def factored_from_text(text: str) -> FactoredRational:
+    """The FactoredRational whose to_text() is text, variable name included."""
+    m = _TEXT_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"not a FactoredRational text form: {text!r}")
+
+    var = "x"
+
+    def parse_factors(blob: str) -> list[tuple[int, int]]:
+        nonlocal var
+        out = []
+        for part in filter(None, (p.strip() for p in blob.split(","))):
+            fm = _FACTOR_RE.match(part)
+            if not fm:
+                raise ValueError(f"bad factor {part!r} in {text!r}")
+            slope = int(fm.group(1)) if fm.group(1) else 1
+            var = fm.group(2)
+            inter = int(fm.group(4) or 0)
+            if fm.group(3) == "-":
+                inter = -inter
+            out.append((slope, inter))
+        return out
+
+    numer = parse_factors(m.group(1))
+    denom = parse_factors(m.group(2))
+    return FactoredRational(parse_rational(m.group(3)), numer, denom, var=var)
 
 
 def _xlogy(x, y):

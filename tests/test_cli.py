@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cartanbal.cli import build_parser, catalog_hash, main
-from cartanbal.exactnum import FactoredRational
+from oracles import factored_from_text
 
 
 def run(capsys, *argv):
@@ -119,7 +119,7 @@ def test_moment_rejects_decimals(capsys):
 def test_moment_ratio_round_trip(capsys):
     code, payload, _ = run_json(capsys, "moment-ratio", "--domain", "IV:4")
     assert code == 0
-    fr = FactoredRational.from_text(payload["round_trip"])
+    fr = factored_from_text(payload["round_trip"])
     assert str(fr) == payload["text"]
     assert payload["denom_degree"] == 4
     assert payload["block_lengths"] == [3, 1]
@@ -373,6 +373,22 @@ def test_oversized_caps_are_refused_at_once(capsys):
     assert code == 1
     assert "caps" in err and "Traceback" not in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_size_limits_count_the_arrays_a_request_builds(capsys):
+    # a ball(2) row holds cap+1 coefficients, as at d=1, and a long z cap
+    # fits a 100x100 grid; 10,000 x 25,000 z-side powers do not
+    for argv, verdict in (
+        (("epsilon-ball", "--d", "2", "--alpha", "3.5", "--cap", "300"), "constant"),
+        (("epsilon-hartogs", "--mu", "2", "--alpha", "4", "--grid", "100x100", "--caps", "300,10"),
+         "non-constant"),
+    ):
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0 and payload["verdict"] == verdict, argv
+    code, out, err = run(capsys, "epsilon-hartogs", "--mu", "2", "--alpha", "4",
+                         "--grid", "10000x1", "--caps", "24999,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: caps=(24999, 0) ") and err.count("\n") == 1
 
 
 def test_norms_outside_the_float_range_are_an_error(capsys):

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 import cartanbal.epsilon as epsilon_module
 from cartanbal.catalog import ball
 from cartanbal.balanced import cartan_balanced
-from cartanbal.calabi import multi_index_enumerate
 from cartanbal.epsilon import (
     SPREAD_CONSTANT,
     SPREAD_NONCONSTANT,
@@ -269,7 +268,7 @@ def test_grids_leave_the_norm_dict_unexpanded(monkeypatch):
 @pytest.mark.parametrize("build, keys, exact", [
     (lambda: ball_monomial_norms(1, 3.5, 30), list(range(31)),
      lambda m: mpmath.pi * mpmath.beta(m + 1, 2.5)),
-    (lambda: ball_monomial_norms(2, 3.5, 20), multi_index_enumerate(2, 20),
+    (lambda: ball_monomial_norms(2, 3.5, 20), [(n - m2, m2) for n in range(21) for m2 in range(n + 1)],
      lambda m: mpmath.pi**2 * mpmath.beta(m[0] + 1, m[1] + 1) * mpmath.beta(sum(m) + 2, 1.5)),
     (lambda: hartogs_disc_norms(2.0, 4.0, (12, 3)), [(j, m) for m in range(4) for j in range(13)],
      lambda k: mpmath.pi**2 * mpmath.beta(k[1] + 1, 2) * mpmath.beta(k[0] + 1, 2 * (4 + k[1]) - 1)),
@@ -574,8 +573,12 @@ def test_size_limits_name_the_parameter():
         epsilon_hartogs_disc(1.0, 3.0, grid=DiscGrid(100, 100), caps=(0, 24000))
     with pytest.raises(ValueError, match="degree_cap"):
         ball_monomial_norms(1, 3.0, 25_000)
-    with pytest.raises(ValueError, match="degree_cap"):
-        ball_monomial_norms(2, 3.0, 300)
+    # a ball row holds degree_cap+1 coefficients for either d; the ball(2)
+    # norms dict, C(degree_cap+2, 2) entries, is refused when read
+    norms = ball_monomial_norms(2, 3.0, 300)
+    with pytest.raises(ValueError, match=r"^degree_cap=300 needs 45,451 norms, over the limit"
+                                         r" of 25,000$"):
+        norms.norms
     with pytest.raises(ValueError, match="grid"):
         DiscGrid(101, 100)
     with pytest.raises(ValueError, match="grid_points"):
@@ -592,10 +595,23 @@ def test_size_limits_name_the_parameter():
     with pytest.raises(TrivialSpaceError):
         ball_monomial_norms(1, 1.0, 24_999)
     with pytest.raises(TrivialSpaceError):
-        ball_monomial_norms(2, 2.0, 222)  # 24,976 norms
+        ball_monomial_norms(2, 2.0, 24_999)
+    assert len(ball_monomial_norms(2, 3.0, 222).norms) == 24_976
     with pytest.raises(TrivialSpaceError):
         hartogs_disc_norms(1.0, 2.0, (157, 157))  # 24,964 norms
     assert DiscGrid(100, 100).nz == 100
+
+
+def test_hartogs_grid_size_counts_the_arrays_it_builds():
+    # the largest arrays are the z-side powers, nz x (cap_z+1), and the tail
+    # bound's nz x nw x (cap_w+2) sum: a long z cap fits a 100x100 grid
+    report = epsilon_hartogs_disc(2.0, 4.0, DiscGrid(100, 100), (300, 10))
+    assert len(report.values) == 10_000
+    assert report.verdict == "non-constant"
+    # 10,000 x 25,000 z-side powers, though the tail bound's sum holds 20,000
+    with pytest.raises(ValueError, match=r"^caps=\(24999, 0\) needs 250,000,000 cells on a"
+                                         r" 10000x1 grid, over the limit of 2,000,000$"):
+        epsilon_hartogs_disc(2.0, 4.0, DiscGrid(10_000, 1), (24_999, 0))
 
 
 def test_norms_outside_the_float_range_are_refused():
