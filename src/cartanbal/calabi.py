@@ -17,7 +17,8 @@ which verify_pullback checks numerically on sample points, with an analytic
 bound on the truncated tail.  Each coefficient is a per-(mw, |mz|) slice factor
 times the multinomial |mz|!/prod_i mz_i!.  As
 sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the pullback sum is the
-power sum of the float slice matrix [|mz|, mw] at (|z|^2, |w|^2).  Kept here
+power sum of the float slice matrix [|mz|, mw] at (|z|^2, |w|^2), contracted
+over |mz| once per distinct |z|^2 and over mw once per sample.  Kept here
 with the grid limits and _squared_norm: _rising_table, which builds it and
 epsilon.py's coefficients, and _power_sum, which evaluates all three sums.
 The exact slice factors and the entries dict are expanded only when read,
@@ -205,10 +206,10 @@ def _squared_norm(z, d: int) -> float:
         return abs(complex(z)) ** 2
     if isinstance(z, numbers.Number):
         raise SampleOutsideDomainError(f"z must have {d} coordinates, got the scalar {z!r}")
-    z = tuple(complex(part) for part in z)
+    z = tuple(map(complex, z))
     if len(z) != d:
         raise SampleOutsideDomainError(f"z must have {d} coordinates, got {len(z)}")
-    return sum(abs(part) ** 2 for part in z)
+    return sum([abs(part) ** 2 for part in z])
 
 
 def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
@@ -297,9 +298,10 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     max(cap+1, d) of them.  Every (mz, mw) term counts, yet neither entries
     nor the exact slice factors are expanded: as
     sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the sum is the power
-    sum of coeffs.slice_matrix at (|z|^2, |w|^2), which _power_sum evaluates
-    as it stands, in chunks of samples whose two (samples x cap+1) arrays
-    hold at most 2,000,000 floats.
+    sum of coeffs.slice_matrix at (|z|^2, |w|^2).  _power_sum contracts its n
+    axis once per distinct |z|^2, so a check grid of radii pays (cap+1)^2 per
+    radius, not per sample; the mw axis is then summed per sample, in chunks
+    whose two (samples x cap+1) arrays hold at most 2,000,000 floats.
     The returned tail_bound is the analytic truncation bound, relative to the
     target value and valid at every sample; the measured error stays below it
     (up to float roundoff).  Past the float range, mu is a ValueError naming
@@ -317,7 +319,7 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     if not points:
         raise ValueError("verify_pullback needs at least one sample")
     _check_pullback_size(len(points), cap, d)
-    rows = []
+    slots, which, ys = {}, [], []  # slots numbers the distinct |z|^2 in order of appearance
     for z, w in points:
         x = _squared_norm(z, d)
         y = abs(complex(w)) ** 2
@@ -325,10 +327,11 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
             raise SampleOutsideDomainError(
                 f"sample z={z!r}, w={w!r} lies outside |w|^2 < (1-|z|^2)^mu < 1"
             )
-        rows.append((x, y))
-    bases = np.array(rows)
-    x, y = bases.T
-    n_mu = (1.0 - x) ** mu
+        which.append(slots.setdefault(x, len(slots)))
+        ys.append(y)
+    x, which, y = np.array(list(slots)), np.array(which), np.array(ys)  # x: the distinct |z|^2
+    del slots, ys  # the per-sample lists go before the chunk arrays are built
+    n_mu = ((1.0 - x) ** mu)[which]
     with np.errstate(over="ignore"):
         target = (n_mu - y) ** (-alpha)
     if not np.isfinite(target).all():
@@ -342,8 +345,12 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
             f"mu={mu}, alpha={alpha}: a slice factor of the immersion leaves the float range;"
             " lower mu or alpha"
         )
+    # the n axis once per distinct |z|^2, then the mw axis per sample
+    by_x = _power_sum(factors, x[:, None])  # [distinct |z|^2, mw]
+    powers = np.arange(cap + 1.0)
     step = max(1, _MAX_GRID_CELLS // (2 * (cap + 1)))
-    total = np.concatenate([_power_sum(factors, bases[lo:lo + step])
+    total = np.concatenate([np.einsum("sk,sk->s", by_x[which[lo:lo + step]],
+                                      y[lo:lo + step, None] ** powers)
                             for lo in range(0, len(points), step)])
     rel = np.abs(total - target) / target
     worst = int(np.argmax(rel))

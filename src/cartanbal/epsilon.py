@@ -52,13 +52,17 @@ non-constant, and between them as inconclusive.  Omitted terms are positive,
 so with the absolute tail bound T each true value lies in [v, v + T];
 EpsilonReport.verdict is inconclusive unless the spread moved by T / max
 either way reads the same.  The Hartogs tail bound builds its pieces in
-logs from tables over (t, fiber power) and (u, fiber power), and only their
-sum with the log weights spans (grid points x fiber powers).  Sizes (norms,
-grid points, evaluation arrays) are checked against module limits before any
-norm is built, each by the array it builds: a ball row counts degree_cap+1
-norms for either d, and a Hartogs grid the larger of its z-side power table,
-nz x (cap_z+1), and its tail bound's nz x nw x (cap_w+2) sum.  The ball(2)
-norms dict, C(degree_cap+2, 2) entries, is checked when it is first read.
+logs from tables over (t, fiber power) and (u, fiber power), exponentiates
+each table shifted by its rows' maxima, and sums over the fiber power as
+one (t, m) x (u, m) contraction; points whose shifted sum underflowed are
+summed again in logs, over (those points x fiber powers), when one of them
+could hold the maximum.  Sizes (norms, grid points, evaluation arrays) are
+checked against module limits before any norm is built, each by the array
+it builds: a ball row counts degree_cap+1 norms for either d, and a Hartogs
+grid the larger of its z-side power table, nz x (cap_z+1), and the tail
+bound's worst case, every point summed again in logs, nz x nw x (cap_w+2).
+The ball(2) norms dict, C(degree_cap+2, 2) entries, is checked when it is
+first read.
 
 numpy, the only numeric dependency, is imported inside the functions that call
 it (the Hartogs norms, the grid functions, the tail bound, _xlogy and calabi's
@@ -106,6 +110,9 @@ SPREAD_NONCONSTANT = 1e-3
 
 # size limit checked before any norm is built; the grid limits live in calabi.py
 _MAX_NORMS = 25_000  # norms of one setting
+
+# a shifted tail-bound sum below this may have lost every term to underflow
+_TINY_SUM = 1e-250
 
 
 class WeightedBasisNorms:
@@ -223,9 +230,9 @@ class DiscGrid(namedtuple("DiscGrid", "nz nw t_max u_max")):
 
 
 def _report(grid, values: np.ndarray, caps: tuple, tail: float) -> EpsilonReport:
-    values = values.tolist()
-    vmax, vmin = max(values), min(values)
-    return EpsilonReport(tuple(grid), tuple(values), vmin, vmax, (vmax - vmin) / vmax, caps, tail)
+    vmax, vmin = float(values.max()), float(values.min())
+    return EpsilonReport(tuple(grid), tuple(values.tolist()), vmin, vmax, (vmax - vmin) / vmax,
+                         caps, tail)
 
 
 def constancy_verdict(spread: float) -> str:
@@ -383,7 +390,8 @@ def epsilon_hartogs_disc(
 
     grid = grid or DiscGrid()
     caps = tuple(map(operator.index, caps))
-    # the largest arrays: the z-side powers and the tail bound's (t, u, fiber power) sum
+    # the largest arrays: the z-side powers and the tail bound's (t, u, fiber power)
+    # re-sum in logs, built only where shifted sums underflow, but at worst at every point
     cells = max(grid.nz * (caps[0] + 1), grid.nz * grid.nw * (caps[1] + 2))
     _check_size("caps", caps, cells, f"cells on a {grid.nz}x{grid.nw} grid", _MAX_GRID_CELLS)
     norms = hartogs_disc_norms(mu, alpha, caps)
@@ -427,9 +435,19 @@ def _hartogs_tail_bound(t, u, norms: WeightedBasisNorms) -> float:
     rows, stepped once more in logs, which cannot overflow:
     coef[cap_z+1, m] = coef[cap_z, m] (1 + c_m/(cap_z+1)), and
     coef[0, cap_w+1] = coef[0, cap_w] (alpha+cap_w-1)/(cap_w+1) c_(cap_w+1)/c_cap_w.
-    The one (nz x nw x cap_w+2) array is the broadcast sum, updated in place,
-    so the peak is one float per point and fiber power: 0.67 MB at 32 x 32,
-    caps (80, 80).
+
+    Only the two tables are exponentiated, each row shifted by its own
+    maximum so that it peaks at exactly 1; one einsum contracts them over m,
+    and the row maxima and the log weights are added back in logs.  A shifted
+    sum below 1e-250 may have lost every term to underflow, as its rows can
+    peak at different m; it enters as 1e-250, a ceiling on the true sum.  If
+    such a ceiling is the largest value, every point below 1e-250 is summed
+    again in logs from its own rows, so the bound never falls below the
+    point-by-point sum.  A grid's origin sums to exactly 0, but its ceiling
+    is the largest only where every bound is tiny, so the usual grids skip
+    the re-sum.  That is the only (points x fiber powers) array, at worst
+    nz x nw x (cap_w+2); without it the peak at 32 x 32, caps (80, 80), is
+    0.16 MB.
     """
     import numpy as np
 
@@ -453,7 +471,23 @@ def _hartogs_tail_bound(t, u, norms: WeightedBasisNorms) -> float:
     log_first = _xlogy(cap_z + 1, t) + (np.log(coef[-1]) + np.log1p(c[:-1] / (cap_z + 1)))
     log_first -= np.log1p(-ratio, where=converges, out=np.zeros_like(ratio))
     np.copyto(log_t[:, :-1], log_first, where=converges)
-    log_t += _xlogy(m, n_mu)
-    pieces = log_t[:, None, :] + log_u
-    pieces += _xlogy(alpha, n_mu - n_mu * u)[:, :, None]
-    return float(np.exp(pieces, out=pieces).sum(axis=2).max())
+    log_t += m * np.log(n_mu)  # (1-t)^mu > 0: the caller refuses (1-t_max)^mu = 0
+    shift_t = log_t.max(axis=1, keepdims=True)
+    shift_u = log_u.max(axis=1, keepdims=True)
+    log_t -= shift_t
+    log_u -= shift_u
+    # [t, u]; the log weight and the t shift, both large, nearly cancel: add them first
+    base = alpha * np.log(n_mu - n_mu * u) + shift_t
+    base += shift_u.T
+    sums = np.einsum("im,km->ik", np.exp(log_t), np.exp(log_u))
+    logs = np.log(np.maximum(sums, _TINY_SUM)) + base
+    best = logs.argmax()
+    if sums.flat[best] < _TINY_SUM:  # the largest ceiling may stand for a flushed sum
+        i, k = np.nonzero(sums < _TINY_SUM)
+        pieces = log_t[i] + log_u[k]
+        top = np.maximum(pieces.max(axis=1), -sys.float_info.max)
+        pieces -= top[:, None]
+        with np.errstate(divide="ignore"):
+            logs[i, k] = np.log(np.exp(pieces, out=pieces).sum(axis=1)) + top + base[i, k]
+        best = logs.argmax()
+    return float(np.exp(logs.flat[best]))

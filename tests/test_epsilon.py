@@ -662,15 +662,30 @@ def test_hartogs_tail_bound_steps_past_the_float_range_in_logs():
     (0.5, 7.25, (4, 20), DiscGrid(6, 6, 0.8, 0.3)),  # Newton's series in the j tails
     (404.5, 2.5, (100, 100), DiscGrid(3, 3, 1e-4, 0.5)),
     (404.5, 2.5, (100, 100), DiscGrid(32, 32, 1e-4, 0.5)),
+    # shifted sums that underflow, summed again in logs: a bound of 3.8e-138 where
+    # the contraction alone gives 0, and a bound of 2e-256
+    (5.1895, 1000.0, (40, 150), DiscGrid(8, 1, 1e-6, 0.9)),
+    (4.87, 200.0, (100, 150), DiscGrid(2, 1, 1e-4, 0.5)),
+    (219.9, 10.0, (150, 1), DiscGrid(3, 32, 0.9, 0.1)),  # row maxima thousands apart in logs
 ])
-def test_hartogs_tail_bound_matches_the_flat_oracle(mu, alpha, caps, grid):
+def test_hartogs_tail_bound_matches_the_flat_oracle(mu, alpha, caps, grid, monkeypatch):
     # the bound over distinct t and u equals the point-by-point bound over the grid
     norms = hartogs_disc_norms(mu, alpha, caps)
     t = np.linspace(0.0, grid.t_max, grid.nz)
     u = np.linspace(0.0, grid.u_max, grid.nw)
     y = ((1.0 - t[:, None]) ** mu * u).ravel()
     want = hartogs_tail_bound_flat(np.repeat(t, grid.nw), y, norms)
-    got = _hartogs_tail_bound(t, u, norms)
+    tables, einsum = [], np.einsum
+
+    def recording(subscripts, *operands):
+        tables.extend(operands)
+        return einsum(subscripts, *operands)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", recording)
+        got = _hartogs_tail_bound(t, u, norms)
+    # each exponentiated table is shifted by its own rows' maxima, not one global one
+    assert all((table.max(axis=1) == 1.0).all() for table in tables)
     assert (got == math.inf) == (want == math.inf)
     if want != math.inf:
         assert got == pytest.approx(want, rel=1e-12, abs=0)
