@@ -46,6 +46,7 @@ from .errors import (
     BallNotAllowedError,
     SampleOutsideDomainError,
     _check_size,
+    _Frozen,
 )
 
 __all__ = [
@@ -110,7 +111,8 @@ def _float(x: Fraction) -> float:
         return math.inf
 
 
-class ImmersionCoefficients(namedtuple("ImmersionCoefficients", "spec cutoff entry_count")):
+class ImmersionCoefficients(_Frozen,
+                            namedtuple("ImmersionCoefficients", "spec cutoff entry_count")):
     """Squared moduli of the Hartogs immersion components over a ball base.
 
     Pairs (z multi-index mz, w power mw) are truncated at |mz| + mw <= cutoff:
@@ -125,11 +127,6 @@ class ImmersionCoefficients(namedtuple("ImmersionCoefficients", "spec cutoff ent
     loads no numpy.  Immutable, views included: the cache is the instance
     __dict__, which cached_property writes directly.
     """
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("ImmersionCoefficients is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         """Pickle and copy through the constructor: a clone recomputes its views."""

@@ -18,8 +18,8 @@ stored value of a is immaterial whenever r = 1.
 
 from __future__ import annotations
 
-import functools
 import operator
+from collections import namedtuple
 from enum import Enum
 
 from .errors import DomainParseError, InvalidSizeError, _check_size
@@ -50,39 +50,15 @@ class Family(str, Enum):
         return {"I": 2, "II": 1, "III": 1, "IV": 1, "V": 0, "VI": 0}[self.value]
 
 
-@functools.total_ordering
-class CartanDomain:
+class CartanDomain(namedtuple("CartanDomain", "family sizes r a b gamma dim")):
     """One catalog entry with its derived invariants.
 
-    Immutable.  Equality, hashing and ordering are those of the field tuple
-    (family, sizes, r, a, b, gamma, dim), and vars() gives the fields in that
-    order.  Not itself a tuple: the CLI renders a domain value as its label.
+    A namedtuple: equality, hashing, ordering and _asdict() are those of the
+    fields (family, sizes, r, a, b, gamma, dim), so a domain equals the plain
+    tuple of its fields.  The CLI renders a domain value as its label.
     """
 
-    def __init__(self, family: Family, sizes: tuple[int, ...], r: int, a: int, b: int,
-                 gamma: int, dim: int):
-        vars(self).update(family=family, sizes=sizes, r=r, a=a, b=b, gamma=gamma, dim=dim)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("CartanDomain is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.family, self.sizes, self.r, self.a, self.b, self.gamma, self.dim)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if type(other) is CartanDomain else NotImplemented
-
-    def __lt__(self, other) -> bool:
-        return self._key() < other._key() if type(other) is CartanDomain else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"CartanDomain({fields})"
+    __slots__ = ()
 
     @property
     def is_ball(self) -> bool:

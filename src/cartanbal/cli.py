@@ -17,15 +17,16 @@ Render contract: a handler computes each value once and returns (exit code,
 payload, lines).  The payload holds raw values (Fraction, CartanDomain,
 bool, None, numbers, and sequences of these); where it reports a result
 object it spreads that object's fields (verdict._asdict(), report._asdict(),
-vars(domain)) after the request parameters instead of copying them key by
-key.  The lines are str.format templates over the payload and the parsed
+domain._asdict()) after the request parameters instead of copying them key
+by key.  The lines are str.format templates over the payload and the parsed
 flags.  _render is the one print path: it adds the schema field and the
-manifest, then prints the payload through one JSON encoder (_json_default: a
-Fraction as "p/q", a domain as its label; _json_ready: a float that is not
-finite as null, since JSON has no Infinity) or fills the templates (_fmt:
-true/false, "-" for None, sequences comma-joined; explicit specs such as
-{spread:.3e} format floats).  Errors raised while rendering (an integer past
-Python's int-to-str digit limit) exit 1 like errors raised while computing.
+manifest, then prints the payload through one JSON conversion (_json_ready:
+a Fraction as "p/q", a domain as its label, a float that is not finite as
+null, since JSON has no Infinity) or fills the templates (_fmt: true/false,
+"-" for None, a domain as its label, sequences comma-joined; explicit specs
+such as {spread:.3e} format floats).  Errors raised while rendering (an
+integer past Python's int-to-str digit limit) exit 1 like errors raised
+while computing.
 
 An exact subcommand loads only exact code: the numeric modules are imported
 inside their handlers (calabi in immersion, epsilon in the epsilon
@@ -111,9 +112,11 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "-"
+    if isinstance(value, CartanDomain):
+        return value.label
     if isinstance(value, (list, tuple)):
         return ", ".join(_fmt(v) for v in value)
-    return str(value)  # a Fraction prints as "p/q", a domain as its label
+    return str(value)  # a Fraction prints as "p/q"
 
 
 class _TextFormatter(string.Formatter):
@@ -126,20 +129,17 @@ class _TextFormatter(string.Formatter):
 _TEXT = _TextFormatter()
 
 
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, CartanDomain):
-        return value.label
-    raise TypeError(f"no JSON form for {type(value).__name__}")
-
-
 def _json_ready(value):
-    """The payload with every non-finite float as None: JSON has no Infinity or NaN."""
+    """The payload in JSON types: a Fraction as "p/q", a domain (a tuple) as its
+    label, a float that is not finite as None (JSON has no Infinity or NaN)."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
+    if isinstance(value, Fraction):
+        return str(value)
     if isinstance(value, dict):
         return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, CartanDomain):
+        return value.label
     if isinstance(value, (list, tuple)):
         return [_json_ready(item) for item in value]
     return value
@@ -178,14 +178,14 @@ def _render(args, payload: dict, lines: list[str]) -> None:
             "parameters": params,
         }
     if args.json:
-        print(json.dumps(_json_ready(payload), indent=2, default=_json_default))
+        print(json.dumps(_json_ready(payload), indent=2))
         return
     fields = ChainMap(payload, vars(args))
     text = [_TEXT.vformat(line, (), fields) for line in lines]
     if args.manifest:
         man = payload["manifest"]
         text.append(f"manifest: {man['tool']} {man['version']} catalog {man['catalog_hash']}")
-        text.append("manifest parameters: " + json.dumps(params, default=_json_default))
+        text.append("manifest parameters: " + json.dumps(_json_ready(params)))
     print("\n".join(text))
 
 
@@ -243,7 +243,7 @@ def _check_grid(text: str) -> tuple[float, int]:
 
 
 def _cmd_catalog(args):
-    rows = [{"label": d.label, **vars(d), "is_ball": d.is_ball}
+    rows = [{"label": d.label, **d._asdict(), "is_ball": d.is_ball}
             for d in enumerate_catalog(args.dim_cap)]
     columns = [("domain", "label"), ("r", "r"), ("a", "a"), ("b", "b"), ("gamma", "gamma"),
                ("dim", "dim"), ("ball", "is_ball")]

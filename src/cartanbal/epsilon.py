@@ -88,7 +88,7 @@ from .calabi import (
     _rising_table,
     _squared_norm,
 )
-from .errors import SampleOutsideDomainError, TrivialSpaceError, _check_size
+from .errors import SampleOutsideDomainError, TrivialSpaceError, _check_size, _Checked, _Frozen
 
 __all__ = [
     "WeightedBasisNorms",
@@ -115,7 +115,7 @@ _MAX_NORMS = 25_000  # norms of one setting
 _TINY_SUM = 1e-250
 
 
-class WeightedBasisNorms:
+class WeightedBasisNorms(_Frozen):
     """Squared monomial norms for one weighted Bergman setting.
 
     setting is "ball" (params d, alpha; keys are int degrees for d=1 and
@@ -137,11 +137,6 @@ class WeightedBasisNorms:
         _array.flags.writeable = False
         if not math.isfinite(_array.max()):  # every coefficient is positive
             raise self._range_error("a coefficient")
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("WeightedBasisNorms is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return WeightedBasisNorms, (self.setting, self.params, self._array)
@@ -201,7 +196,7 @@ class EpsilonReport(namedtuple("EpsilonReport", "grid values min_value max_value
         return low if low == constancy_verdict(self.spread + slack) else "inconclusive"
 
 
-class DiscGrid(namedtuple("DiscGrid", "nz nw t_max u_max")):
+class DiscGrid(_Checked, namedtuple("DiscGrid", "nz nw t_max u_max")):
     """Interior evaluation grid for the Hartogs disc setting.
 
     t = |z|^2 runs over nz points in [0, t_max]; the fiber coordinate is
@@ -222,11 +217,6 @@ class DiscGrid(namedtuple("DiscGrid", "nz nw t_max u_max")):
             )
         _check_size("grid", f"{nz}x{nw}", nz * nw, "points", _MAX_GRID_POINTS)
         return super().__new__(cls, nz, nw, t_max, u_max)
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through __new__, so _make and _replace validate as the constructor does."""
-        return cls(*iterable)
 
 
 def _report(grid, values: np.ndarray, caps: tuple, tail: float) -> EpsilonReport:

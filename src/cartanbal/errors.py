@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all cartanbal modules."""
+"""Exception hierarchy shared by all cartanbal modules, and the record mixins they share."""
 
 __all__ = [
     "CartanbalError",
@@ -58,3 +58,24 @@ def _check_size(name: str, value, count: int, unit: str, limit: int) -> None:
     """ValueError naming the parameter when a request needs more than limit units."""
     if count > limit:
         raise ValueError(f"{name}={value} needs {count:,} {unit}, over the limit of {limit:,}")
+
+
+class _Checked:
+    """Namedtuple mixin: _make, and so _replace, build through the validating __new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Frozen:
+    """Mixin refusing attribute writes and deletes after construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__

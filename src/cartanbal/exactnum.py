@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import PoleError
+from .errors import PoleError, _Checked, _Frozen
 
 __all__ = [
     "parse_rational",
@@ -62,7 +62,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-class LinearFactor(namedtuple("LinearFactor", "slope intercept")):
+class LinearFactor(_Checked, namedtuple("LinearFactor", "slope intercept")):
     """The affine function slope*x + intercept, slope nonzero.
 
     Inside a FactoredRational the pair is primitive: coprime ints with a
@@ -75,11 +75,6 @@ class LinearFactor(namedtuple("LinearFactor", "slope intercept")):
         if slope == 0:
             raise ValueError("LinearFactor slope must be nonzero")
         return tuple.__new__(cls, (slope, intercept))
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through __new__, so _make and _replace validate as the constructor does."""
-        return cls(*iterable)
 
     def eval_at(self, x) -> Fraction:
         return self.slope * Fraction(x) + self.intercept
@@ -120,7 +115,7 @@ def _split(factor) -> tuple[LinearFactor, int, int]:
     return prim, g, d
 
 
-class FactoredRational:
+class FactoredRational(_Frozen):
     """scale * prod(numer) / prod(denom), canonical and fully cancelled.
 
     The variable name is cosmetic (used for rendering only) and is excluded
@@ -153,11 +148,6 @@ class FactoredRational:
         object.__setattr__(self, "numer", tuple(sorted(top.elements())))
         object.__setattr__(self, "denom", tuple(sorted(bottom.elements())))
         object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value=None):  # immutable after __init__
-        raise AttributeError("FactoredRational is immutable")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         """Pickle and copy through the constructor, which the slot state cannot bypass."""

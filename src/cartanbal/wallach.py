@@ -91,7 +91,10 @@ def corollary_witness(dom: CartanDomain) -> tuple[Fraction, Fraction]:
     alpha >= alpha_min = (r-1)(dim+1)a/(2*gamma), the continuous Wallach
     threshold over mu0, then gives a projectively induced metric.  At
     alpha_min itself, alpha_min*mu0 = (r-1)a/2 is the top discrete Wallach
-    point, which is nonzero precisely because r >= 2.
+    point, which is nonzero precisely because r >= 2.  alpha_min is the least
+    alpha of that continuous ray, not always the least inducing alpha (II:3
+    also induces at alpha = 7/8, as 7/8*mu0 = 1/2 is a discrete point); the
+    corollary's alpha > dim + 1 lies on the ray.
     """
     if dom.is_ball:
         raise BallNotAllowedError(

@@ -6,10 +6,11 @@ import mpmath
 import pytest
 from scipy.integrate import quad
 
+from cartanbal.balanced import HartogsSpec, hartogs_balanced
 from cartanbal.catalog import ball, enumerate_catalog, make_domain, parse_domain
 from cartanbal.errors import PoleError
 from cartanbal.exactnum import FactoredRational
-from cartanbal.moments import block_lengths, moment_converges, moment_ratio
+from cartanbal.moments import _block_roots, block_lengths, moment_converges, moment_ratio
 from polar_moments import _beta_route, _simplex_route, polar_moment_ratio
 
 
@@ -114,6 +115,56 @@ def test_block_structure_matches_factors():
         for t in range(length)
     )
     assert roots == expected
+
+
+def _block_identities(r, a, b):
+    """From (r, a, b) alone, in O(r): the block starts c_j, the block lengths L_j,
+    the sum of the roots c_j + t (t < L_j) and each block's largest root."""
+    starts = [1 + F((j - 1) * a, 2) for j in range(1, r + 1)]
+    lengths = [b + 1 + a * (r - j) for j in range(1, r + 1)]
+    total = sum(n * c + F(n * (n - 1), 2) for c, n in zip(starts, lengths))
+    return starts, lengths, total, [c + n - 1 for c, n in zip(starts, lengths)]
+
+
+def test_block_root_identities_up_to_dim_1000():
+    # the identities behind "only the ball": the roots sum to dim*gamma/2, the
+    # largest is gamma - 1 (at j = 1), and dim + 1 - gamma vanishes only at rank 1
+    doms = enumerate_catalog(1000)
+    assert len(doms) == 4638
+    for dom in doms:
+        r, a, b, gamma, dim = dom.r, dom.a, dom.b, dom.gamma, dom.dim
+        _, lengths, total, tops = _block_identities(r, a, b)
+        assert sum(lengths) == dim and total == F(dim * gamma, 2), dom.label
+        assert max(tops) == tops[0] == gamma - 1, dom.label
+        assert 2 * (dim + 1 - gamma) == (r - 1) * (a * (r - 2) + 2 * b + 2), dom.label
+        assert (dim + 1 == gamma) == (r == 1), dom.label
+
+
+def test_block_roots_match_the_identities_up_to_dim_100():
+    doms = enumerate_catalog(100)
+    assert len(doms) == 372
+    for dom in doms:
+        starts, lengths, total, tops = _block_identities(dom.r, dom.a, dom.b)
+        roots = _block_roots(dom)
+        assert len(roots) == dom.dim and sum(roots) == total, dom.label
+        firsts = [sum(lengths[:j]) for j in range(dom.r)]  # j-major blocks
+        assert [roots[i] for i in firsts] == starts, dom.label
+        assert [roots[i + n - 1] for i, n in zip(firsts, lengths)] == tops, dom.label
+        assert min(roots) == 1 and max(roots) == dom.gamma - 1, dom.label
+
+
+def test_shifted_roots_are_one_to_dim_exactly_on_balls():
+    # at mu0 = gamma/(dim+1) the roots map to {1, ..., dim} only on a ball, and
+    # hartogs_balanced agrees at alpha = dim + 2, past both necessary inequalities
+    doms = enumerate_catalog(27)
+    assert len(doms) == 89
+    for dom in doms:
+        mu0 = F(dom.gamma, dom.dim + 1)
+        shifted = sorted((dom.gamma - c) / mu0 for c in _block_roots(dom))
+        is_range = shifted == list(range(1, dom.dim + 1))
+        assert is_range == dom.is_ball, dom.label
+        verdict = hartogs_balanced(HartogsSpec(dom, mu0, dom.dim + 2))
+        assert verdict.balanced == is_range, dom.label
 
 
 def _gamma_omega(x, dom):

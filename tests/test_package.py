@@ -164,6 +164,43 @@ def test_exact_record_order_repr_and_coercion():
             cartanbal.HartogsSpec(dom, mu, alpha)
 
 
+def test_domain_is_a_namedtuple_that_pickles_copies_and_lists_its_fields():
+    dom = cartanbal.parse_domain("I:2,3")
+    for clone in (pickle.loads(pickle.dumps(dom)), copy.copy(dom), copy.deepcopy(dom)):
+        assert type(clone) is cartanbal.CartanDomain and clone == dom
+        assert hash(clone) == hash(dom) and repr(clone) == repr(dom)
+    fields = dom._asdict()
+    assert list(fields) == ["family", "sizes", "r", "a", "b", "gamma", "dim"]
+    assert fields == {"family": cartanbal.Family.TYPE_I, "sizes": (2, 3), "r": 2, "a": 2,
+                      "b": 1, "gamma": 5, "dim": 6}
+    assert dom == tuple(fields.values())  # a domain equals the plain tuple of its fields
+    assert str(dom) == dom.label == "I:2,3" and not dom.is_ball
+
+
+def test_immutability_message_names_the_class():
+    records = [
+        cartanbal.FactoredRational(2, [(1, 1)], [(1, 3)]),
+        cartanbal.hartogs_disc_norms(1.0, 3.0, (4, 4)),
+        cartanbal.build_immersion(cartanbal.HartogsSpec(cartanbal.ball(1), 1, 3), 6),
+    ]
+    for record in records:
+        message = f"^{type(record).__name__} is immutable$"
+        with pytest.raises(AttributeError, match=message):
+            record.no_such_field = None
+        with pytest.raises(AttributeError, match=message):
+            del record.no_such_field
+    assert [type(record).__name__ for record in records] == [
+        "FactoredRational", "WeightedBasisNorms", "ImmersionCoefficients"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_validates_like_the_constructor():
+    spec = cartanbal.HartogsSpec(cartanbal.ball(1), 1, 3)
+    with pytest.raises(cartanbal.NonpositiveParameterError, match="mu must be positive"):
+        copy.replace(spec, mu=-1)
+    assert copy.replace(spec, mu="3/2").mu == Fraction(3, 2)
+
+
 class _Twelve:
     def __index__(self):
         return 12

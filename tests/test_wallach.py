@@ -130,6 +130,17 @@ def test_corollary_witness():
         corollary_witness(ball(3))
 
 
+def test_corollary_witness_is_the_ray_start_not_the_least_inducing_alpha():
+    # II:3 has discrete points 0, 1/2, 1; at alpha = 7/8 the fiber powers give
+    # weights 1/2 (discrete) and then 1/2 + 4m/7 > 1, so a smaller alpha induces
+    dom = parse_domain("II:3")
+    mu0, alpha_min = corollary_witness(dom)
+    assert (mu0, alpha_min) == (F(4, 7), F(7, 4))
+    assert hartogs_projectively_induced(HartogsSpec(dom, mu0, F(7, 8)))
+    assert not hartogs_projectively_induced(HartogsSpec(dom, mu0, F(3, 2)))
+    assert F(7, 8) < alpha_min < dom.dim + 1  # the corollary's alphas lie on the ray
+
+
 def test_corollary_witness_all_domains():
     for dom in enumerate_catalog(27):
         if dom.is_ball:
