@@ -83,9 +83,13 @@ REASON_ALPHA = "alpha_not_above_d_plus_1"
 REASON_ALPHA_MU = "alpha_mu_not_above_gamma_minus_1"
 REASON_M_DEPENDENCE = "m_dependence"
 
-# checked before any verdict: the default grids take about 1.8 s at cap 80 and
-# 2.9 s at cap 100 (2-core VM, Python 3.11)
+# checked before any verdict: the default grids take about 1.4 s at cap 80 and
+# 2.2 s at cap 100 (2-core VM, Python 3.11)
 _MAX_SCAN_DIM_CAP = 100
+# rows of one balanced_scan or corollary_scan, also checked before any verdict:
+# admits the extended default scan grid at cap 100 (8,504 rows) and the default
+# corollary grid at the catalog's cap 1,000 (11,908 rows)
+_MAX_SCAN_ROWS = 12_000
 
 
 class HartogsSpec(_Checked, namedtuple("HartogsSpec", "base mu alpha")):
@@ -303,17 +307,24 @@ def balanced_scan(
     mus/alphas may be explicit lists of rationals; by default they follow the
     per-domain sample grids (mu includes gamma/(dim+1), alpha scales with the
     dimension).  The sort order of the result is (domain label, mu, alpha).
+    A dim_cap over 100 or a grid over 12,000 rows raises ValueError before
+    any verdict.
     """
     dim_cap = operator.index(dim_cap)
     _check_size("dim_cap", dim_cap, dim_cap, "scanned dimensions", _MAX_SCAN_DIM_CAP)
+    mus = None if mus is None else [Fraction(m) for m in mus]
+    alphas = None if alphas is None else [Fraction(al) for al in alphas]
+    grids = [
+        (dom,
+         default_scan_mus(dom) if mus is None else mus,
+         default_scan_alphas(dom, extended=extended_alphas) if alphas is None else alphas)
+        for dom in enumerate_catalog(dim_cap)
+    ]
+    sizes = "x".join("default" if grid is None else str(len(grid)) for grid in (mus, alphas))
+    count = sum(len(dom_mus) * len(dom_alphas) for _, dom_mus, dom_alphas in grids)
+    _check_size("len(mus) x len(alphas)", sizes, count, "scan rows", _MAX_SCAN_ROWS)
     rows = []
-    for dom in enumerate_catalog(dim_cap):
-        dom_mus = [Fraction(m) for m in mus] if mus is not None else default_scan_mus(dom)
-        dom_alphas = (
-            [Fraction(al) for al in alphas]
-            if alphas is not None
-            else default_scan_alphas(dom, extended=extended_alphas)
-        )
+    for dom, dom_mus, dom_alphas in grids:
         for mu in dom_mus:
             for alpha in dom_alphas:
                 spec = HartogsSpec(dom, mu, alpha)
@@ -378,7 +389,8 @@ def corollary_scan(dim_cap: int, alphas=None) -> CorollaryReport:
     alpha_min + {0, 1, 10} (or an explicit alpha list).  Every row must come
     out projectively induced and not balanced.  Balls are reported as
     excluded rows.  Failures raise (a nonpositive alpha is refused before any
-    row, even when every row is a ball), so every row's error is None.
+    row, even when every row is a ball), so every row's error is None.  A
+    request over 12,000 rows raises ValueError before any verdict.
     """
     dim_cap = operator.index(dim_cap)
     if dim_cap < 2:
@@ -388,8 +400,13 @@ def corollary_scan(dim_cap: int, alphas=None) -> CorollaryReport:
         for alpha in alphas:
             if alpha <= 0:
                 raise NonpositiveParameterError(f"alpha must be positive, got {alpha}")
+    domains = enumerate_catalog(dim_cap)
+    balls = sum(dom.is_ball for dom in domains)
+    per_domain = 3 if alphas is None else len(alphas)  # default: alpha_min + {0, 1, 10}
+    count = balls + (len(domains) - balls) * per_domain
+    _check_size("len(alphas)", per_domain, count, "corollary rows", _MAX_SCAN_ROWS)
     rows = []
-    for dom in enumerate_catalog(dim_cap):
+    for dom in domains:
         if dom.is_ball:
             rows.append(CorollaryRow(dom, excluded=True))
             continue

@@ -9,11 +9,13 @@ factor is a primitive integer pair: P and Q are coprime ints and P > 0.
 Constancy of the rational function is then decided by multiset comparison:
 
   * the constructor accepts rational (slope, intercept) pairs and splits each
-    one, once, into its primitive integer pair and a rational constant; the
-    constants are accumulated as an integer numerator and denominator and
+    one, once, into its primitive integer pair and a rational constant (an
+    int or a Fraction is read as it is, any other rational through Fraction);
+    the constants are accumulated as an integer numerator and denominator and
     become the single Fraction `scale` at the end;
-  * common factors of numerator and denominator are cancelled with Counters
-    keyed by the integer pairs.
+  * one Counter holds each pair's signed exponent (+1 per numerator entry,
+    -1 per denominator entry); its positive part is the numerator and its
+    negative part the denominator, so common factors cancel.
 
 After this normalization two proportional factors are literally equal, so a
 FactoredRational is a constant function exactly when no factors remain, and
@@ -88,31 +90,28 @@ class LinearFactor(_Checked, namedtuple("LinearFactor", "slope intercept")):
         return f"{head}{sign}{abs(i)}"
 
 
-def _primitive_pair(slope: int, intercept: int) -> tuple[LinearFactor, int]:
-    """(LinearFactor(P, Q), g) with slope*x + intercept == g * (P x + Q).
-
-    P > 0 and gcd(P, Q) = 1; g is a nonzero integer.
-    """
-    if slope == 0:
-        raise ValueError("LinearFactor slope must be nonzero")
-    g = gcd(slope, intercept)
-    if slope < 0:
-        g = -g
-    return LinearFactor(slope // g, intercept // g), g
+_EXACT_TYPES = (int, Fraction)
 
 
 def _split(factor) -> tuple[LinearFactor, int, int]:
-    """Split a rational (slope, intercept) pair as (g/d) * (P x + Q), d > 0."""
+    """Split a rational (slope, intercept) pair as (g/d) * (P x + Q).
+
+    P > 0 and gcd(P, Q) = 1; g is a nonzero integer and d a positive one.
+    """
     slope, intercept = factor
-    if type(slope) is int and type(intercept) is int:
-        return (*_primitive_pair(slope, intercept), 1)
-    slope, intercept = Fraction(slope), Fraction(intercept)
-    d = lcm(slope.denominator, intercept.denominator)
-    prim, g = _primitive_pair(
-        slope.numerator * (d // slope.denominator),
-        intercept.numerator * (d // intercept.denominator),
-    )
-    return prim, g, d
+    if type(slope) not in _EXACT_TYPES:
+        slope = Fraction(slope)
+    if type(intercept) not in _EXACT_TYPES:
+        intercept = Fraction(intercept)
+    if not slope:
+        raise ValueError("LinearFactor slope must be nonzero")
+    slope_den, intercept_den = slope.denominator, intercept.denominator
+    d = lcm(slope_den, intercept_den)
+    p = slope.numerator * (d // slope_den)
+    q = intercept.numerator * (d // intercept_den)
+    g = gcd(p, q) if p > 0 else -gcd(p, q)
+    # the slope was checked above, so build the tuple without LinearFactor's own check
+    return tuple.__new__(LinearFactor, (p // g, q // g)), g, d
 
 
 class FactoredRational(_Frozen):
@@ -129,24 +128,20 @@ class FactoredRational(_Frozen):
         if scale == 0:
             raise ValueError("FactoredRational scale must be nonzero")
         num, den = scale.numerator, scale.denominator
-        top = Counter()
+        exponents = Counter()
         for factor in numer:
             prim, g, d = _split(factor)
-            top[prim] += 1
+            exponents[prim] += 1
             num *= g
             den *= d
-        bottom = Counter()
         for factor in denom:
             prim, g, d = _split(factor)
-            bottom[prim] += 1
+            exponents[prim] -= 1
             num *= d
             den *= g
-        common = top & bottom
-        top -= common
-        bottom -= common
         object.__setattr__(self, "scale", Fraction(num, den))
-        object.__setattr__(self, "numer", tuple(sorted(top.elements())))
-        object.__setattr__(self, "denom", tuple(sorted(bottom.elements())))
+        object.__setattr__(self, "numer", tuple(sorted((+exponents).elements())))
+        object.__setattr__(self, "denom", tuple(sorted((-exponents).elements())))
         object.__setattr__(self, "var", var)
 
     def __reduce__(self):

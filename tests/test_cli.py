@@ -433,6 +433,31 @@ def test_dim_cap_limits(capsys):
         assert "Traceback" not in err
 
 
+def test_scan_row_limits(capsys):
+    # the largest allowed grid runs; the next larger one is refused before any
+    # verdict.  Cap 1 has 3 domains (12,000 rows = 3 x 1 x 4,000); cap 3 has 6
+    # balls and 2 other domains (12,000 rows = 6 + 2 x 5,997).
+    def alphas(value, count):
+        return ",".join([value] * count)
+
+    for ok_argv, refused, message in (
+        (("scan", "--dim-cap", "1", "--mus", "1", "--alphas", alphas("1/2", 4000)),
+         ("scan", "--dim-cap", "1", "--mus", "1", "--alphas", alphas("1/2", 4001)),
+         "len(mus) x len(alphas)=1x4001 needs 12,003 scan rows, over the limit of 12,000"),
+        (("corollary-scan", "--dim-cap", "3", "--alphas", alphas("10", 5997)),
+         ("corollary-scan", "--dim-cap", "3", "--alphas", alphas("10", 5998)),
+         "len(alphas)=5998 needs 12,002 corollary rows, over the limit of 12,000"),
+    ):
+        code, out, _ = run(capsys, *ok_argv)
+        # a header, a rule, 12,000 rows and a summary line
+        assert code == 0 and out.count("\n") == 12_003, ok_argv[0]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *refused)
+        assert time.perf_counter() - start < 1.0, refused[0]
+        assert code == 1 and out == "", refused[0]
+        assert err == f"error: {message}\n"
+
+
 def test_oversized_check_grid_is_refused_at_once(capsys):
     # the sample grid is sized before build_immersion, so neither build runs
     for extra, message in (
@@ -688,7 +713,7 @@ def _fuzz_argv(draw):
 
 
 @given(argv=_fuzz_argv())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_main_fuzz_exit_contract(argv, tmp_path_factory):
     here = os.getcwd()
     os.chdir(tmp_path_factory.mktemp("fuzz"))  # --csv writes relative paths here

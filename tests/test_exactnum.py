@@ -59,6 +59,8 @@ def test_linear_factor():
         lambda: LinearFactor(0, 1),
         lambda: FactoredRational(1, [(0, 1)]),
         lambda: FactoredRational(1, [(0, 0)]),
+        lambda: FactoredRational(1, [(F(0), 3)]),
+        lambda: FactoredRational(1, [], [(0, F(1, 2))]),
     ):
         with pytest.raises(ValueError, match="slope must be nonzero"):
             make()
@@ -78,6 +80,10 @@ def test_cancellation():
     # proportional factors cancel up to scale: (2x+2)/(x+1) == 2
     fr = FactoredRational(1, [(2, 2)], [(1, 1)])
     assert fr.is_constant() == (True, F(2))
+    # x+3 once above and three times below keeps two below; x+1 once in each
+    # cancels: 2(x+3)(x+1) / ((x+3) (1/2)(x+3) 3(x+3) (x+1)) == (4/3)/(x+3)^2
+    fr = FactoredRational(1, [(2, 6), (1, 1)], [(1, 3), (F(1, 2), F(3, 2)), (3, 9), (True, 1)])
+    assert (fr.scale, fr.numer, fr.denom) == (F(4, 3), (), (LinearFactor(1, 3),) * 2)
 
 
 def test_zero_scale_forbidden():
@@ -176,18 +182,27 @@ def test_expand_factors():
 # ---------------------------------------------------------------------------
 # property tests
 
+class _SubFraction(F):
+    """A Fraction subclass: the constructor converts it through Fraction."""
+
+
 _small = st.integers(min_value=-4, max_value=4)
-# integer pairs take the constructor's int path; rational and negative
-# coefficients with small denominators take the Fraction splitting path
 _denominator = st.integers(min_value=1, max_value=6)
-_nonzero = st.integers(min_value=-12, max_value=12).filter(bool)
-_factor = st.one_of(
-    st.tuples(_small.filter(bool), _small),
-    st.tuples(
-        st.builds(F, _nonzero, _denominator),
-        st.builds(F, st.integers(min_value=-12, max_value=12), _denominator),
-    ),
+_fraction = st.builds(F, st.integers(min_value=-12, max_value=12), _denominator)
+# an int or a Fraction is read as it is; any other rational type is converted
+_coefficient = st.one_of(
+    _small,
+    _fraction,
+    st.booleans(),
+    st.builds(_SubFraction, st.integers(min_value=-12, max_value=12), _denominator),
 )
+# all-int pairs, all-Fraction pairs, and mixed pairs such as the (1, alpha - i)
+# of final_quantity and the (1, c) of moment_ratio
+_factor = st.one_of(
+    st.tuples(_small, _small),
+    st.tuples(_fraction, _fraction),
+    st.tuples(_coefficient, _coefficient),
+).filter(lambda pair: pair[0] != 0)
 _factors = st.lists(_factor, max_size=4)
 _scales = st.fractions(
     min_value=F(-8), max_value=F(8), max_denominator=6
@@ -203,7 +218,7 @@ def _poly_mul(p, q):
 
 
 @given(scale=_scales, numer=_factors, denom=_factors)
-@settings(max_examples=150)
+@settings(max_examples=150, derandomize=True)
 def test_canonical_form_preserves_value(scale, numer, denom):
     fr = FactoredRational(scale, numer, denom)
     # cross-multiplication: scale * prod(numer) * prod(fr.denom)
@@ -223,7 +238,7 @@ def test_canonical_form_preserves_value(scale, numer, denom):
 
 
 @given(scale=_scales, numer=_factors, denom=_factors)
-@settings(max_examples=150)
+@settings(max_examples=150, derandomize=True)
 def test_constancy_matches_pointwise_evaluation(scale, numer, denom):
     fr = FactoredRational(scale, numer, denom)
     constant, value = fr.is_constant()
@@ -247,7 +262,7 @@ def test_constancy_matches_pointwise_evaluation(scale, numer, denom):
 @given(
     s1=_scales, n1=_factors, d1=_factors, s2=_scales, n2=_factors, d2=_factors
 )
-@settings(max_examples=80)
+@settings(max_examples=80, derandomize=True)
 def test_product_evaluates_pointwise(s1, n1, d1, s2, n2, d2):
     f = FactoredRational(s1, n1, d1)
     g = FactoredRational(s2, n2, d2)
@@ -264,7 +279,7 @@ def test_product_evaluates_pointwise(s1, n1, d1, s2, n2, d2):
 
 
 @given(scale=_scales, numer=_factors, denom=_factors, coeff=_scales, shift=_scales)
-@settings(max_examples=80)
+@settings(max_examples=80, derandomize=True)
 def test_compose_affine_evaluates_pointwise(scale, numer, denom, coeff, shift):
     fr = FactoredRational(scale, numer, denom)
     comp = fr.compose_affine(coeff, shift)
@@ -276,7 +291,7 @@ def test_compose_affine_evaluates_pointwise(scale, numer, denom, coeff, shift):
 
 
 @given(scale=_scales, numer=_factors, denom=_factors)
-@settings(max_examples=80)
+@settings(max_examples=80, derandomize=True)
 def test_text_round_trip_property(scale, numer, denom):
     fr = FactoredRational(scale, numer, denom)
     assert factored_from_text(fr.to_text()) == fr
@@ -294,7 +309,7 @@ def _assert_canonical(fr):
 
 
 @given(scale=_scales, numer=_factors, denom=_factors)
-@settings(max_examples=150)
+@settings(max_examples=150, derandomize=True)
 def test_factors_are_primitive_integer_pairs(scale, numer, denom):
     _assert_canonical(FactoredRational(scale, numer, denom))
 
@@ -302,7 +317,7 @@ def test_factors_are_primitive_integer_pairs(scale, numer, denom):
 @given(
     s1=_scales, n1=_factors, d1=_factors, s2=_scales, n2=_factors, d2=_factors
 )
-@settings(max_examples=80)
+@settings(max_examples=80, derandomize=True)
 def test_division_is_product_with_reciprocal(s1, n1, d1, s2, n2, d2):
     f = FactoredRational(s1, n1, d1)
     g = FactoredRational(s2, n2, d2)
@@ -316,7 +331,7 @@ def test_division_is_product_with_reciprocal(s1, n1, d1, s2, n2, d2):
 
 
 @given(scale=_scales, numer=_factors, denom=_factors, coeff=_scales, shift=_scales)
-@settings(max_examples=80)
+@settings(max_examples=80, derandomize=True)
 def test_compose_affine_matches_fresh_construction(scale, numer, denom, coeff, shift):
     fr = FactoredRational(scale, numer, denom)
     comp = fr.compose_affine(coeff, shift)

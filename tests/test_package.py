@@ -311,8 +311,9 @@ def test_blas_guard_flags_each_form():
 
 
 def test_src_calls_no_blas():
-    # an unpinned OpenBLAS thread pool makes small products erratic, and the CLI
-    # does not pin it, so the library multiplies with einsum, unoptimized
+    # an unpinned OpenBLAS thread pool makes small products erratic; the CLI pins
+    # it, but a library caller's process may not, so the library multiplies with
+    # einsum, unoptimized
     src = pathlib.Path(cartanbal.__file__).parent
     found = {path.name: uses for path in sorted(src.glob("*.py"))
              if (uses := _blas_uses(ast.parse(path.read_text())))}
