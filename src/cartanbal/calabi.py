@@ -21,10 +21,10 @@ power sum of the float slice matrix [|mz|, mw] at (|z|^2, |w|^2), contracted
 over |mz| once per distinct |z|^2 and over mw once per sample.  Kept here
 with the grid limits and _squared_norm: _rising_table, which builds it and
 epsilon.py's coefficients, and _power_sum, which evaluates all three sums.
-The exact slice factors and the entries dict are expanded only when read,
-and no request path reads them.
+The exact entries are expanded only when read, and no request path reads
+them.  _check_grid_samples builds and sizes the immersion CLI's check grid.
 
-numpy is imported inside ImmersionCoefficients.slice_matrix, verify_pullback,
+numpy is imported inside slice_matrix, verify_pullback, _check_grid_samples,
 _rising_table and _power_sum, the only code that uses it, so build_immersion
 alone loads no numpy.  The package loads this module on the first lookup of a
 numeric name, and the CLI only in its immersion handler, so the exact code
@@ -116,12 +116,12 @@ class ImmersionCoefficients(_Frozen,
     """Squared moduli of the Hartogs immersion components over a ball base.
 
     Pairs (z multi-index mz, w power mw) are truncated at |mz| + mw <= cutoff:
-        entries[(mz, mw)] = slice_factors[mw][|mz|] * |mz|!/prod_i mz_i!,
-        slice_factors[mw][n] = rising(alpha, mw)/mw! * rising(mu(alpha+mw), n)/n!.
-    Each view is computed on first read and cached: slice_matrix, the float
-    (cutoff+1) x (cutoff+1) matrix [n, mw] of the slice factors that
-    verify_pullback sums; slice_factors, the exact rows; and entries
-    (mw-major, then in _multinomials order), expanded from those rows.
+        entries[(mz, mw)] = s[mw][|mz|] * |mz|!/prod_i mz_i!,
+        s[mw][n] = rising(alpha, mw)/mw! * rising(mu(alpha+mw), n)/n!.
+    Each of the two views is computed on first read and cached:
+    slice_matrix, the float (cutoff+1) x (cutoff+1) matrix [n, mw] of the
+    slice factors s that verify_pullback sums, and entries (mw-major, then in
+    _multinomials order), expanded from exact _rising_row rows of s.
     entry_count is the length of entries.  Even the float matrix waits for a
     reader, so a build alone (the immersion subcommand without a check)
     loads no numpy.  Immutable, views included: the cache is the instance
@@ -152,19 +152,13 @@ class ImmersionCoefficients(_Frozen,
         return matrix
 
     @cached_property
-    def slice_factors(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The exact slice factors, row mw for n = 0..cutoff-mw."""
-        spec = self.spec
-        weights = _rising_row(Fraction(1), spec.alpha, self.cutoff)
-        return tuple(_rising_row(weight, spec.mu * (spec.alpha + mw), self.cutoff - mw)
-                     for mw, weight in enumerate(weights))
-
-    @cached_property
     def entries(self) -> dict[tuple[tuple[int, ...], int], Fraction]:
-        d = self.spec.base.dim
-        terms = _multinomials(d, self.cutoff)  # by degree: the first C(c+d, d) have |m| <= c
+        spec, cap, d = self.spec, self.cutoff, self.spec.base.dim
+        terms = _multinomials(d, cap)  # by degree: the first C(c+d, d) have |m| <= c
+        rows = (_rising_row(weight, spec.mu * (spec.alpha + mw), cap - mw)
+                for mw, weight in enumerate(_rising_row(Fraction(1), spec.alpha, cap)))
         return {(index, mw): row[degree] * multinomial
-                for mw, row in enumerate(self.slice_factors)
+                for mw, row in enumerate(rows)
                 for index, degree, multinomial in terms[:math.comb(len(row) - 1 + d, d)]}
 
 
@@ -287,18 +281,33 @@ def _check_pullback_size(samples: int, cap: int, d: int) -> None:
     _check_size("samples", samples, cells, f"cells at degree cap {cap}, d={d}", _MAX_GRID_CELLS)
 
 
+def _check_grid_samples(spec: HartogsSpec, rmax: float, n: int, cap: int) -> list:
+    """Size-checked samples ((r/sqrt(d),)*d, w), r and w on np.linspace(0, rmax, n),
+    with w^2 < 0.9 (1-r^2)^mu (a margin that keeps the tail small); an inf mu is
+    left for verify_pullback to refuse."""
+    import numpy as np
+
+    d = spec.base.dim
+    _check_size("check_grid", f"{rmax}:{n}", n * n, "samples", _MAX_GRID_POINTS)
+    mu = _float(spec.mu)
+    radii = np.linspace(0.0, rmax, n).tolist()
+    grid = [(r, w) for r in radii for w in radii if w**2 < 0.9 * (1.0 - r**2) ** mu]
+    _check_pullback_size(len(grid), cap, d)
+    return [((r / d**0.5,) * d, w) for r, w in grid]
+
+
 def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> PullbackCheck:
     """Compare the truncated coefficient sum against ((1-|z|^2)^mu-|w|^2)^(-alpha).
 
     Each sample is (z, w) with z a scalar (d=1) or a coordinate tuple.  Points
     must lie strictly inside the domain, and a call takes at most 2,000,000 /
-    max(cap+1, d) of them.  Every (mz, mw) term counts, yet neither entries
-    nor the exact slice factors are expanded: as
-    sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the sum is the power
-    sum of coeffs.slice_matrix at (|z|^2, |w|^2).  _power_sum contracts its n
-    axis once per distinct |z|^2, so a check grid of radii pays (cap+1)^2 per
-    radius, not per sample; the mw axis is then summed per sample, in chunks
-    whose two (samples x cap+1) arrays hold at most 2,000,000 floats.
+    max(cap+1, d) of them.  Every (mz, mw) term counts, yet no entry is
+    expanded: as sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the sum is
+    the power sum of coeffs.slice_matrix at (|z|^2, |w|^2).  _power_sum
+    contracts its n axis once per distinct |z|^2, so a check grid of radii
+    pays (cap+1)^2 per radius, not per sample; the mw axis is then summed per
+    sample, in chunks whose two (samples x cap+1) arrays hold at most
+    2,000,000 floats.
     The returned tail_bound is the analytic truncation bound, relative to the
     target value and valid at every sample; the measured error stays below it
     (up to float roundoff).  Past the float range, mu is a ValueError naming

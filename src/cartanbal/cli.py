@@ -31,9 +31,10 @@ while computing.
 An exact subcommand loads only exact code: the numeric modules are imported
 inside their handlers (calabi in immersion, epsilon in the epsilon
 subcommands), hashlib inside catalog_hash (--manifest) and csv inside the
---csv branch.  main sets OPENBLAS_NUM_THREADS to 1 unless the caller set it:
-the package makes no BLAS call, and an unpinned OpenBLAS thread pool makes
-the first numpy import about 0.1 s slower.
+--csv branch; no handler imports numpy (calabi builds the immersion check
+grid).  main sets OPENBLAS_NUM_THREADS to 1 unless the caller set it: the
+package makes no BLAS call, and an unpinned OpenBLAS thread pool makes the
+first numpy import about 0.1 s slower.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .balanced import (
     hartogs_balanced,
 )
 from .catalog import CartanDomain, ball, enumerate_catalog, parse_domain
-from .errors import CartanbalError, _check_size
+from .errors import CartanbalError
 from .exactnum import parse_rational
 from .moments import moment_converges, moment_ratio
 from .wallach import (
@@ -91,12 +92,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def catalog_hash(dim_cap: int = 27) -> str:
-    """sha256 over the canonical catalog rows; pins the enumerated table."""
+def catalog_hash() -> str:
+    """sha256 over the canonical catalog rows up to dimension 27; pins the enumerated table."""
     import hashlib
 
     h = hashlib.sha256()
-    for dom in enumerate_catalog(dim_cap):
+    for dom in enumerate_catalog(27):
         row = f"{dom.label};r={dom.r};a={dom.a};b={dom.b};gamma={dom.gamma};dim={dom.dim}"
         h.update(row.encode())
         h.update(b"\n")
@@ -342,26 +343,16 @@ def _cmd_corollary_scan(args):
 
 
 def _cmd_immersion(args):
-    from .calabi import (_MAX_GRID_POINTS, _check_pullback_size, _float, build_immersion,
-                         verify_pullback)
+    from .calabi import _check_grid_samples, build_immersion, verify_pullback
 
     spec = HartogsSpec(ball(args.d), args.mu, args.alpha)
-    if args.check_grid is not None:  # the sample grid is sized before the build
-        import numpy as np
-
-        rmax, n = args.check_grid
-        _check_size("check_grid", f"{rmax}:{n}", n * n, "samples", _MAX_GRID_POINTS)
-        mu = _float(spec.mu)  # inf past the float range, refused by verify_pullback
-        radii = np.linspace(0.0, rmax, n).tolist()
-        # keep a margin inside |w|^2 < (1-|z|^2)^mu so the tail stays small
-        grid = [(r, [w for w in radii if w**2 < 0.9 * (1.0 - r**2) ** mu]) for r in radii]
-        _check_pullback_size(sum(len(ws) for _, ws in grid), args.cap, args.d)
+    samples = (None if args.check_grid is None  # sized before the build
+               else _check_grid_samples(spec, *args.check_grid, args.cap))
     coeffs = build_immersion(spec, args.cap)
     payload = {"d": args.d, "mu": args.mu, "alpha": args.alpha, "cap": args.cap,
                "entries": coeffs.entry_count, "check": None}
     lines = [f"spec: {spec.label}", "squared coefficients up to total degree {cap}: {entries}"]
-    if args.check_grid is not None:
-        samples = [((r / args.d**0.5,) * args.d, w) for r, ws in grid for w in ws]
+    if samples is not None:
         check = verify_pullback(coeffs, samples)
         payload["check"] = check._asdict()
         del payload["check"]["worst_sample"]

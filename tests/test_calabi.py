@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -10,13 +11,16 @@ import pytest
 import cartanbal.calabi as calabi_module
 from cartanbal.balanced import HartogsSpec
 from cartanbal.calabi import (
+    _check_grid_samples,
     _multinomials,
     _power_sum,
+    _rising_row,
     _t_star,
     build_immersion,
     verify_pullback,
 )
 from cartanbal.catalog import ball, parse_domain
+from cartanbal.cli import main
 from cartanbal.epsilon import _hartogs_tail_bound, hartogs_disc_norms
 from cartanbal.errors import (
     BallNotAllowedError,
@@ -157,15 +161,14 @@ def test_immersion_entries_are_lazy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 39,711 eager entries peaked at 9.0 MB and the 1,891 exact slice
-    # factors take ~0.2 MB; a build computes no view at all
+    # the 39,711 eager entries peaked at 9.0 MB; a build computes no view at all
     assert peak < 1e6, peak
     assert coeffs._asdict() == {"spec": spec, "cutoff": 60, "entry_count": 39_711}
     assert vars(coeffs) == {}
     # the pullback reads only the float matrix
     verify_pullback(coeffs, [((0.2, 0.1), 0.3)])
     assert "slice_matrix" in vars(coeffs)
-    assert "slice_factors" not in vars(coeffs) and "entries" not in vars(coeffs)
+    assert "entries" not in vars(coeffs)
     assert len(coeffs.entries) == coeffs.entry_count == 39_711
 
 
@@ -198,7 +201,9 @@ def test_slice_matrix_matches_the_exact_rows(d, cap):
         coeffs = build_immersion(HartogsSpec(ball(d), mu, alpha), cap)
         matrix = coeffs.slice_matrix
         assert matrix.shape == (cap + 1, cap + 1) and not matrix.flags.writeable
-        for mw, row in enumerate(coeffs.slice_factors):
+        weights = _rising_row(F(1), alpha, cap)
+        for mw, weight in enumerate(weights):
+            row = _rising_row(weight, mu * (alpha + mw), cap - mw)
             assert len(row) == cap + 1 - mw
             exact = np.array([float(f) for f in row])
             np.testing.assert_allclose(matrix[:len(row), mw], exact, rtol=1e-13, atol=0,
@@ -376,6 +381,37 @@ def test_pullback_memory_is_bounded_per_chunk():
     with pytest.raises(ValueError, match="samples=64517 needs 2,000,027 cells"):
         verify_pullback(coeffs, (samples * 32)[:64_517])
 
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+@pytest.mark.parametrize("mu, rmax, n", [(F(1), 0.4, 5), (F(3, 2), 0.9, 7), (F(1, 3), 0.6, 1)])
+def test_check_grid_samples(capsys, d, mu, rmax, n):
+    # z on the diagonal at each grid radius, w on the same radii, inside the
+    # 0.9 margin; the immersion subcommand checks exactly these samples
+    samples = _check_grid_samples(HartogsSpec(ball(d), mu, F(12)), rmax, n, 5)
+    radii = np.linspace(0.0, rmax, n).tolist()
+    kept = [(r, w) for r in radii for w in radii if w * w < 0.9 * (1 - r * r) ** float(mu)]
+    assert len(samples) == len(kept)
+    for (z, w), (r, w_kept) in zip(samples, kept):
+        assert len(z) == d and len(set(z)) == 1 and w == w_kept
+        x = sum(c * c for c in z)
+        assert math.isclose(x, r * r, rel_tol=1e-15, abs_tol=1e-300)
+        assert w * w < 0.9 * (1 - x) ** float(mu)
+    code = main(["immersion", "--d", str(d), "--mu", str(mu), "--alpha", "12", "--cap", "5",
+                 "--check-grid", f"{rmax}:{n}", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["check"]["samples_checked"] == len(samples)
+
+
+def test_check_grid_samples_past_the_float_range():
+    # mu 10^400 reads as inf: only the r = 0 row is kept, and verify_pullback
+    # refuses mu by name
+    spec = HartogsSpec(ball(2), F(10**400), F(3))
+    samples = _check_grid_samples(spec, 0.4, 5, 20)
+    assert samples == [((0.0, 0.0), w) for w in np.linspace(0.0, 0.4, 5).tolist()]
+    with pytest.raises(ValueError, match=r"^mu=inf: .* leaves the float range; lower mu$"):
+        verify_pullback(build_immersion(spec, 20), samples)
+    with pytest.raises(ValueError, match="check_grid=0.4:101 needs 10,201 samples"):
+        _check_grid_samples(spec, 0.4, 101, 20)
 
 
 def test_pullback_names_a_huge_mu():
