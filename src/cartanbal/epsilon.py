@@ -51,12 +51,13 @@ constancy_verdict reads a spread below 1e-5 as constant, above 1e-3 as
 non-constant, and between them as inconclusive.  Omitted terms are positive,
 so with the absolute tail bound T each true value lies in [v, v + T];
 EpsilonReport.verdict is inconclusive unless the spread moved by T / max
-either way reads the same.  The Hartogs tail bound builds its pieces in
-logs from tables over (t, fiber power) and (u, fiber power), exponentiates
-each table shifted by its rows' maxima, and sums over the fiber power as
-one (t, m) x (u, m) contraction; points whose shifted sum underflowed are
-summed again in logs, over (those points x fiber powers), when one of them
-could hold the maximum.  Sizes (norms, grid points, evaluation arrays) are
+either way reads the same.  The Hartogs tail bound folds the weight and
+|w|^(2m) into its pieces as powers of 1-t and 1-u, so each piece's log is a
+sum over two tables, (t, fiber power) and (u, fiber power); it exponentiates
+each shifted by its rows' maxima and sums over the fiber power as one
+(t, m) x (u, m) contraction; points whose shifted sum underflowed are summed
+again in logs, over (those points x fiber powers), when one of them could
+hold the maximum.  Sizes (norms, grid points, evaluation arrays) are
 checked against module limits before any norm is built, each by the array
 it builds: a ball row counts degree_cap+1 norms for either d, and a Hartogs
 grid the larger of its z-side power table, nz x (cap_z+1), and the tail
@@ -416,24 +417,26 @@ def _hartogs_tail_bound(t, u, norms: WeightedBasisNorms) -> float:
       of all m > cap_w, geometric with the decreasing ratio
       u (m+alpha-1)/(m+1) * c_(m+1)/c_m, or inf if that is >= 1 at any u.
 
-    Pieces are formed in logs, with m log y = m log u + m log (1-t)^mu and the
-    weight ((1-t)^mu - y)^alpha folded in, so each is a sum of three tables:
-    an (nz x cap_w+2) one in (t, m), the j ratios, their log1p and the Newton
-    alternative included; an (nw x cap_w+2) one in (u, m); and the
-    (nz x nw) log weights.  _xlogy gives 0 log 0 = 0 and log 0 = -inf, so t = 0
-    and u = 0 need no special case.  The pieces read coef's first and last
-    rows, stepped once more in logs, which cannot overflow:
+    The weight ((1-t)^mu - y)^alpha = (1-t)^(mu alpha) (1-u)^alpha and
+    y^m = u^m (1-t)^(mu m) are folded in before any log is taken, so the
+    (1-t)^(c_m+1) a piece carries cancels in a whole j sum and stays as
+    (c_m+1) log1p(-t) in a geometric j tail.  Each piece's log is then the sum
+    of two tables: an (nz x cap_w+2) one in (t, m), the j ratios and the Newton
+    alternative included, and an (nw x cap_w+2) one in (u, m), m log u +
+    alpha log1p(-u).  _xlogy gives 0 log 0 = 0 and log 0 = -inf, so t = 0 and
+    u = 0 need no special case.  The pieces read coef's first and last rows,
+    stepped once more in logs, which cannot overflow:
     coef[cap_z+1, m] = coef[cap_z, m] (1 + c_m/(cap_z+1)), and
     coef[0, cap_w+1] = coef[0, cap_w] (alpha+cap_w-1)/(cap_w+1) c_(cap_w+1)/c_cap_w.
 
     Only the two tables are exponentiated, each row shifted by its own
     maximum so that it peaks at exactly 1; one einsum contracts them over m,
-    and the row maxima and the log weights are added back in logs.  A shifted
-    sum below 1e-250 may have lost every term to underflow, as its rows can
-    peak at different m; it enters as 1e-250, a ceiling on the true sum.  If
-    such a ceiling is the largest value, every point below 1e-250 is summed
-    again in logs from its own rows, so the bound never falls below the
-    point-by-point sum.  A grid's origin sums to exactly 0, but its ceiling
+    and the row maxima are added back in logs.  A shifted sum below 1e-250
+    may have lost every term to underflow, as its rows can peak at different
+    m; it enters as 1e-250, a ceiling on the true sum.  If such a ceiling
+    is the largest value, every point below 1e-250 is summed again in logs
+    from its own rows, so the bound never falls below the point-by-point
+    sum.  A grid's origin sums to exactly 0, but its ceiling
     is the largest only where every bound is tiny, so the usual grids skip
     the re-sum.  That is the only (points x fiber powers) array, at worst
     nz x nw x (cap_w+2); without it the peak at 32 x 32, caps (80, 80), is
@@ -448,27 +451,24 @@ def _hartogs_tail_bound(t, u, norms: WeightedBasisNorms) -> float:
     fiber_ratio = u * (m[-1] + alpha - 1.0) / (m[-1] + 1.0) * (c[-1] + mu) / c[-1]
     if not (fiber_ratio < 1.0).all():
         return math.inf  # a divergent fiber sum at some u
-    log_u = _xlogy(m, u[:, None])  # [u, m]
+    log_u = _xlogy(m, u[:, None]) + alpha * np.log1p(-u[:, None])  # [u, m]
     log_u[:, -1] -= np.log1p(-fiber_ratio)
     t = t[:, None]
-    n_mu = (1.0 - t) ** mu
     log_head = np.log(coef[0])
     step = math.log((alpha + cap_w - 1.0) / (cap_w + 1.0)) + math.log(c[-1] / c[-2])
-    log_t = np.append(log_head, log_head[-1] + step) - (c + 1.0) * np.log1p(-t)  # [t, m]
+    log_t = np.tile(np.append(log_head, log_head[-1] + step), (len(t), 1))  # [t, m]
     ratio = t * (cap_z + 2 + c[:-1])
     ratio /= cap_z + 2
     converges = ratio < 1.0
     log_first = _xlogy(cap_z + 1, t) + (np.log(coef[-1]) + np.log1p(c[:-1] / (cap_z + 1)))
+    log_first += (c[:-1] + 1.0) * np.log1p(-t)
     log_first -= np.log1p(-ratio, where=converges, out=np.zeros_like(ratio))
     np.copyto(log_t[:, :-1], log_first, where=converges)
-    log_t += m * np.log(n_mu)  # (1-t)^mu > 0: the caller refuses (1-t_max)^mu = 0
     shift_t = log_t.max(axis=1, keepdims=True)
     shift_u = log_u.max(axis=1, keepdims=True)
     log_t -= shift_t
     log_u -= shift_u
-    # [t, u]; the log weight and the t shift, both large, nearly cancel: add them first
-    base = alpha * np.log(n_mu - n_mu * u) + shift_t
-    base += shift_u.T
+    base = shift_t + shift_u.T  # [t, u]
     sums = np.einsum("im,km->ik", np.exp(log_t), np.exp(log_u))
     logs = np.log(np.maximum(sums, _TINY_SUM)) + base
     best = logs.argmax()

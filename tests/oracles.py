@@ -7,8 +7,8 @@ hartogs_tail_bound_flat is the Hartogs epsilon tail bound evaluated point by
 point: one (points x fiber powers) array per piece, with no use of the
 t x u product structure of the grid, which epsilon._hartogs_tail_bound
 exploits.  The two share the series and the step rules but not the array
-layout, so a slip in how the product form splits log y or where it folds in
-the weight shows as a mismatch.
+layout, so a slip in how the product form splits a piece's log between its
+(t, fiber power) and (u, fiber power) tables shows as a mismatch.
 """
 
 import math
@@ -66,25 +66,27 @@ def hartogs_tail_bound_flat(t, y, norms) -> float:
     ratio t (j+1+c_m)/(j+1), or the whole j sum c_m (1-t)^(-c_m-1) if that
     ratio is >= 1 at j = cap_z+1; for m = cap_w+1 the full j sums of all
     m > cap_w, geometric with ratio (y/(1-t)^mu) (m+alpha-1)/(m+1) c_(m+1)/c_m,
-    or inf if that is >= 1.  Pieces are formed in logs with the weight
-    ((1-t)^mu - y)^alpha folded in.
+    or inf if that is >= 1.  Each point's u = y/(1-t)^mu is read back once,
+    and the weight ((1-t)^mu - y)^alpha = (1-t)^(mu alpha) (1-u)^alpha and
+    y^m = u^m (1-t)^(mu m) are folded into the pieces before any log is taken:
+    a piece carries (1-t)^(c_m+1), which cancels a whole j sum exactly and
+    stays as (c_m+1) log1p(-t) in a geometric j tail.
     """
     (mu, alpha), coef = norms.params, norms._array
     cap_z, cap_w = (n - 1 for n in coef.shape)
     t, y = np.asarray(t, float)[:, None], np.asarray(y, float)[:, None]
+    u = y / (1.0 - t) ** mu
     m = np.arange(cap_w + 2.0)
     c = mu * (alpha + m) - 1.0
     log_head = np.log(coef[0])
     step = math.log((alpha + cap_w - 1.0) / (cap_w + 1.0)) + math.log(c[-1] / c[-2])
-    log_w = _xlogy(m, y) + _xlogy(alpha, (1.0 - t) ** mu - y)
-    log_full = log_w + np.append(log_head, log_head[-1] + step) - (c + 1.0) * np.log1p(-t)
-    log_first = log_w + _xlogy(cap_z + 1, t)
+    log_w = _xlogy(m, u) + alpha * np.log1p(-u)
+    log_full = log_w + np.append(log_head, log_head[-1] + step)
+    log_first = log_w + _xlogy(cap_z + 1, t) + (c + 1.0) * np.log1p(-t)
     log_first[:, :-1] += np.log(coef[-1]) + np.log1p(c[:-1] / (cap_z + 1))
     log_first[:, -1:] = log_full[:, -1:]
     ratio = t * (cap_z + 2 + c) / (cap_z + 2)
-    ratio[:, -1:] = (
-        y / (1.0 - t) ** mu * (m[-1:] + alpha - 1.0) / (m[-1:] + 1.0) * (c[-1:] + mu) / c[-1:]
-    )
+    ratio[:, -1:] = u * (m[-1:] + alpha - 1.0) / (m[-1:] + 1.0) * (c[-1:] + mu) / c[-1:]
     converges = ratio < 1.0
     log_first -= np.log1p(-np.where(converges, ratio, 0.0))
     log_full[:, -1] = np.inf  # a divergent fiber sum; the j sums of m <= cap_w stay

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -650,6 +651,11 @@ def test_hartogs_tail_bound_steps_past_the_float_range_in_logs():
     assert report.verdict == "non-constant"
 
 
+# mu (alpha+m) |log(1-t)| reaches 1.8e5: pieces formed from logs of that size
+# and left to cancel are about 1e-11 off
+_LARGE_LOGS = (342.13, 475.68, (11, 4), DiscGrid(3, 6, 0.664, 0.0097))
+
+
 @pytest.mark.parametrize("mu, alpha, caps, grid", [
     (2.0, 4.0, (80, 80), DiscGrid(32, 32)),
     (2.0, 4.0, (40, 40), DiscGrid(1, 9, 0.35, 0.5)),
@@ -667,6 +673,7 @@ def test_hartogs_tail_bound_steps_past_the_float_range_in_logs():
     (5.1895, 1000.0, (40, 150), DiscGrid(8, 1, 1e-6, 0.9)),
     (4.87, 200.0, (100, 150), DiscGrid(2, 1, 1e-4, 0.5)),
     (219.9, 10.0, (150, 1), DiscGrid(3, 32, 0.9, 0.1)),  # row maxima thousands apart in logs
+    _LARGE_LOGS,
 ])
 def test_hartogs_tail_bound_matches_the_flat_oracle(mu, alpha, caps, grid, monkeypatch):
     # the bound over distinct t and u equals the point-by-point bound over the grid
@@ -690,6 +697,85 @@ def test_hartogs_tail_bound_matches_the_flat_oracle(mu, alpha, caps, grid, monke
     if want != math.inf:
         assert got == pytest.approx(want, rel=1e-12, abs=0)
     assert epsilon_hartogs_disc(mu, alpha, grid, caps).tail_bound == got
+
+
+def _tail_bound_in_60_digits(mu, alpha, caps, grid, coef) -> float:
+    # the bound's series at the grid's own (t, u), with y = u (1-t)^mu exact and
+    # the float coefficients stepped once more exactly
+    cap_z, cap_w = caps
+    mpf = mpmath.mpf
+    with mpmath.workdps(60):
+        mu, alpha = mpf(mu), mpf(alpha)
+        c = [mu * (alpha + m) - 1 for m in range(cap_w + 2)]
+        head = [mpf(x) for x in coef[0].tolist()]
+        head.append(head[-1] * (alpha + cap_w - 1) / (cap_w + 1) * c[-1] / c[-2])
+        last = [mpf(x) * (1 + c[m] / (cap_z + 1)) for m, x in enumerate(coef[-1].tolist())]
+        best = mpf(0)
+        for t in map(mpf, np.linspace(0.0, grid.t_max, grid.nz).tolist()):
+            n_mu = (1 - t) ** mu
+            for u in map(mpf, np.linspace(0.0, grid.u_max, grid.nw).tolist()):
+                y = u * n_mu
+                total = mpf(0)
+                for m in range(cap_w + 1):
+                    ratio = t * (cap_z + 2 + c[m]) / (cap_z + 2)
+                    if ratio < 1:  # the j tail past cap_z, geometric
+                        total += last[m] * t ** (cap_z + 1) * y**m / (1 - ratio)
+                    else:  # the whole j sum, Newton's binomial series
+                        total += head[m] * (1 - t) ** (-c[m] - 1) * y**m
+                ratio = u * (cap_w + alpha) / (cap_w + 2) * (c[-1] + mu) / c[-1]
+                assert ratio < 1
+                total += head[-1] * (1 - t) ** (-c[-1] - 1) * y ** (cap_w + 1) / (1 - ratio)
+                best = max(best, (n_mu - y) ** alpha * total)
+        return float(best)
+
+
+@pytest.mark.parametrize("mu, alpha, caps, grid", [
+    _LARGE_LOGS,
+    (2.0, 4.0, (12, 12), DiscGrid(2, 2)),
+    (0.5, 7.25, (4, 20), DiscGrid(6, 6, 0.8, 0.3)),  # geometric and Newton j tails
+])
+def test_hartogs_tail_bound_matches_60_digits(mu, alpha, caps, grid):
+    norms = hartogs_disc_norms(mu, alpha, caps)
+    want = _tail_bound_in_60_digits(mu, alpha, caps, grid, norms._array)
+    t = np.linspace(0.0, grid.t_max, grid.nz)
+    u = np.linspace(0.0, grid.u_max, grid.nw)
+    y = ((1.0 - t[:, None]) ** mu * u).ravel()
+    assert _hartogs_tail_bound(t, u, norms) == pytest.approx(want, rel=1e-12, abs=0)
+    assert hartogs_tail_bound_flat(np.repeat(t, grid.nw), y, norms) == pytest.approx(
+        want, rel=1e-12, abs=0)
+
+
+def _closed_form_settings(count=300, seed=2014):
+    rng = random.Random(seed)
+    for _ in range(count):
+        mu = rng.choice((0.5, 0.75, 1.0, 1.5, 2.0, 3.0)) * rng.uniform(1.0, 1.05)
+        alpha = rng.uniform(2.05, 12.0)
+        caps = (rng.randint(2, 60), rng.randint(2, 60))
+        grid = DiscGrid(rng.randint(1, 6), rng.randint(1, 6), rng.uniform(0, 0.6),
+                        rng.uniform(0, 0.6))
+        yield mu, alpha, caps, grid
+
+
+def test_hartogs_tail_bound_covers_the_exact_disc_epsilon():
+    # over the disc epsilon is exactly (alpha-2)(mu alpha - 1 + (1-mu) u)/pi^2
+    # (Feng & Tu, Math. Z. 278, 2014), and each truncated value v lies in
+    # [epsilon - T, epsilon] up to roundoff
+    finite = 0
+    for mu, alpha, caps, grid in _closed_form_settings():
+        report = epsilon_hartogs_disc(mu, alpha, grid, caps)
+        u = np.tile(np.linspace(0.0, grid.u_max, grid.nw), grid.nz)
+        exact = (alpha - 2) * (mu * alpha - 1 + (1 - mu) * u) / math.pi**2
+        gap, floor = exact - np.array(report.values), 1e-13 * exact
+        setting = (mu, alpha, caps, grid)
+        assert (gap >= -floor).all(), setting
+        assert (gap <= report.tail_bound + floor).all(), setting
+        # the bound is infinite only where the fiber series diverges at u_max
+        m = caps[1] + 1
+        c_m, c_next = mu * (alpha + m) - 1, mu * (alpha + m + 1) - 1
+        fiber_ratio = grid.u_max * (m + alpha - 1) / (m + 1) * c_next / c_m
+        assert math.isfinite(report.tail_bound) == (fiber_ratio < 1), setting
+        finite += math.isfinite(report.tail_bound)
+    assert finite >= 250
 
 
 def test_ball2_epsilon_needs_no_norm_in_the_float_range():
