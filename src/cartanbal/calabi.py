@@ -17,16 +17,16 @@ which verify_pullback checks numerically on sample points, with an analytic
 bound on the truncated tail.  Each coefficient is a per-(mw, |mz|) slice factor
 times the multinomial |mz|!/prod_i mz_i!.  As
 sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the pullback sum is the
-power sum of the float slice matrix [|mz|, mw] at (|z|^2, |w|^2), contracted
+power sum of the float slice matrix [|mz|, mw] in |z|^2 and |w|^2, contracted
 over |mz| once per distinct |z|^2 and over mw once per sample.  Kept here
-with the grid limits and _squared_norm: _rising_table, which builds it and
-epsilon.py's coefficients, and _power_sum, which evaluates all three sums.
-The exact entries are expanded only when read, and no request path reads
-them.  _check_grid_samples builds and sizes the immersion CLI's check grid.
+with the grid limits, as epsilon.py uses them too: _rising_table, which builds
+that matrix and epsilon's coefficients, _power_sum, which sums one variable of
+all three sums, and _read_samples, which reads every sample point.  The exact
+entries are expanded only when read, and no request path reads them.
+_check_grid_samples builds and sizes the immersion CLI's check grid.
 
-numpy is imported inside slice_matrix, verify_pullback, _check_grid_samples,
-_rising_table and _power_sum, the only code that uses it, so build_immersion
-alone loads no numpy.  The package loads this module on the first lookup of a
+numpy is imported inside the functions that use it, so build_immersion alone
+loads no numpy.  The package loads this module on the first lookup of a
 numeric name, and the CLI only in its immersion handler, so the exact code
 paths load neither this module nor numpy.  Its records are namedtuples.
 """
@@ -34,7 +34,6 @@ paths load neither this module nor numpy.  Its records are namedtuples.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from collections import namedtuple
 from functools import cached_property
@@ -191,35 +190,48 @@ def build_immersion(spec: HartogsSpec, degree_cap: int) -> ImmersionCoefficients
 PullbackCheck = namedtuple("PullbackCheck", "max_rel_error tail_bound samples_checked worst_sample")
 
 
-def _squared_norm(z, d: int) -> float:
-    """|z|^2 of a point of C^d: a scalar for d=1, else a sequence of d coordinates."""
-    if d == 1 and not isinstance(z, (tuple, list)):
-        return abs(complex(z)) ** 2
-    if isinstance(z, numbers.Number):
-        raise SampleOutsideDomainError(f"z must have {d} coordinates, got the scalar {z!r}")
-    z = tuple(map(complex, z))
-    if len(z) != d:
-        raise SampleOutsideDomainError(f"z must have {d} coordinates, got {len(z)}")
-    return sum([abs(part) ** 2 for part in z])
+def _power_sum(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_n coef[n, ...] t^n at each point of the 1-D t: (len(t),) + coef.shape[1:].
 
-
-def _power_sum(coef: np.ndarray, bases) -> np.ndarray:
-    """sum_e coef[e, ...] * prod_i b_i^(e_i) at every row b of bases.
-
-    coef is dense with one axis per variable and zeros off the support;
-    bases is (npoints, k), k <= coef.ndim, and the leading k axes of coef are
-    contracted one per base column, so the result is
-    (npoints,) + coef.shape[k:].  einsum without optimize never calls BLAS,
-    whose unpinned thread pool makes these small products many times slower.
+    einsum without optimize never calls BLAS, whose unpinned thread pool
+    makes these small products many times slower.
     """
     import numpy as np
 
-    bases = np.asarray(bases, dtype=float)
-    out = np.einsum("k...,sk->s...", coef, bases[:, 0, None] ** np.arange(coef.shape[0]))
-    for axis in range(1, bases.shape[1]):
-        powers = bases[:, axis, None] ** np.arange(coef.shape[axis])
-        out = np.einsum("sk...,sk->s...", out, powers)
-    return out
+    return np.einsum("n...,sn->s...", coef, t[:, None] ** np.arange(coef.shape[0]))
+
+
+def _read_samples(points: list, d: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The float arrays |z|^2 and |w|^2 of the (z, w) pairs in points, read at once.
+
+    z is d coordinates (a tuple, list or array) or, at d=1, a scalar.  A z of
+    the wrong length, or a point outside |z|^2 < 1, |w|^2 < (1-|z|^2)^mu (NaN
+    included), is a SampleOutsideDomainError, with no numpy warning.
+    """
+    import numpy as np
+
+    zs, ws = zip(*points, strict=True)
+    forms = [(d,), ()] if d == 1 else [(d,)]
+    try:
+        z = np.asarray(zs, dtype=complex)
+    except ValueError:  # the z differ in shape
+        z = None
+    if z is None or z.shape[1:] not in forms:
+        bad = [v for v in zs if np.shape(v) not in forms]
+        if bad:
+            raise SampleOutsideDomainError(f"z must have {d} coordinates, got {bad[0]!r}")
+        z = np.array([np.ravel(v) for v in zs], dtype=complex)  # scalars and 1-sequences at d=1
+    y = np.abs(np.asarray(ws, dtype=complex)) ** 2
+    if y.shape != (len(ws),):
+        raise SampleOutsideDomainError(f"w must be a scalar, got {ws[0]!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (np.abs(z.reshape(len(zs), d)) ** 2).sum(axis=1)
+        inside = (x < 1.0) & (y < (1.0 - x) ** mu)
+    if not inside.all():
+        z, w = points[int(np.argmin(inside))]
+        raise SampleOutsideDomainError(f"sample z={z!r}, w={w!r} lies outside"
+                                       f" |z|^2 < 1, |w|^2 < (1-|z|^2)^mu, mu={mu}")
+    return x, y
 
 
 def _t_star(mu: float) -> float:
@@ -275,7 +287,7 @@ def _check_pullback_size(samples: int, cap: int, d: int) -> None:
     """ValueError when a pullback check of this many samples is too large.
 
     Per sample the check touches cap+1 cells of each power-sum array and d
-    coordinates in _squared_norm, so it takes samples x max(cap+1, d) cells.
+    in _read_samples' coordinate array, so it takes samples x max(cap+1, d).
     """
     cells = samples * max(cap + 1, d)
     _check_size("samples", samples, cells, f"cells at degree cap {cap}, d={d}", _MAX_GRID_CELLS)
@@ -299,15 +311,15 @@ def _check_grid_samples(spec: HartogsSpec, rmax: float, n: int, cap: int) -> lis
 def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> PullbackCheck:
     """Compare the truncated coefficient sum against ((1-|z|^2)^mu-|w|^2)^(-alpha).
 
-    Each sample is (z, w) with z a scalar (d=1) or a coordinate tuple.  Points
+    Each sample is (z, w) with z a scalar (d=1) or d coordinates.  Points
     must lie strictly inside the domain, and a call takes at most 2,000,000 /
     max(cap+1, d) of them.  Every (mz, mw) term counts, yet no entry is
     expanded: as sum_{|mz|=n} (n!/prod_i mz_i!) |z^mz|^2 = |z|^(2n), the sum is
-    the power sum of coeffs.slice_matrix at (|z|^2, |w|^2).  _power_sum
-    contracts its n axis once per distinct |z|^2, so a check grid of radii
-    pays (cap+1)^2 per radius, not per sample; the mw axis is then summed per
-    sample, in chunks whose two (samples x cap+1) arrays hold at most
-    2,000,000 floats.
+    the power sum of coeffs.slice_matrix in |z|^2 and |w|^2.  _power_sum
+    contracts its n axis once per distinct |z|^2 (np.unique), so a check grid
+    of radii pays (cap+1)^2 per radius, not per sample; the mw axis is then
+    summed per sample, in chunks whose two (samples x cap+1) arrays hold at
+    most 2,000,000 floats.
     The returned tail_bound is the analytic truncation bound, relative to the
     target value and valid at every sample; the measured error stays below it
     (up to float roundoff).  Past the float range, mu is a ValueError naming
@@ -315,9 +327,7 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     """
     import numpy as np
 
-    spec = coeffs.spec
-    d = spec.base.dim
-    cap = coeffs.cutoff
+    spec, cap, d = coeffs.spec, coeffs.cutoff, coeffs.spec.base.dim
     mu, alpha = _float(spec.mu), _float(spec.alpha)
     if not math.isfinite(mu):
         raise ValueError(f"mu={mu}: the fiber exponent leaves the float range; lower mu")
@@ -325,18 +335,8 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
     if not points:
         raise ValueError("verify_pullback needs at least one sample")
     _check_pullback_size(len(points), cap, d)
-    slots, which, ys = {}, [], []  # slots numbers the distinct |z|^2 in order of appearance
-    for z, w in points:
-        x = _squared_norm(z, d)
-        y = abs(complex(w)) ** 2
-        if not (x < 1.0 and y < (1.0 - x) ** mu):
-            raise SampleOutsideDomainError(
-                f"sample z={z!r}, w={w!r} lies outside |w|^2 < (1-|z|^2)^mu < 1"
-            )
-        which.append(slots.setdefault(x, len(slots)))
-        ys.append(y)
-    x, which, y = np.array(list(slots)), np.array(which), np.array(ys)  # x: the distinct |z|^2
-    del slots, ys  # the per-sample lists go before the chunk arrays are built
+    x, y = _read_samples(points, d, mu)
+    x, which = np.unique(x, return_inverse=True)  # x: the distinct |z|^2
     n_mu = ((1.0 - x) ** mu)[which]
     with np.errstate(over="ignore"):
         target = (n_mu - y) ** (-alpha)
@@ -351,8 +351,7 @@ def verify_pullback(coeffs: ImmersionCoefficients, samples: Iterable) -> Pullbac
             f"mu={mu}, alpha={alpha}: a slice factor of the immersion leaves the float range;"
             " lower mu or alpha"
         )
-    # the n axis once per distinct |z|^2, then the mw axis per sample
-    by_x = _power_sum(factors, x[:, None])  # [distinct |z|^2, mw]
+    by_x = _power_sum(factors, x)  # [distinct |z|^2, mw]
     powers = np.arange(cap + 1.0)
     step = max(1, _MAX_GRID_CELLS // (2 * (cap + 1)))
     total = np.concatenate([np.einsum("sk,sk->s", by_x[which[lo:lo + step]],

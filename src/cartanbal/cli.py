@@ -80,13 +80,15 @@ class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit 1, not argparse's default 2.
 
     Exit 2 is reserved for predicate-false results of check subcommands.
-    Negative exact rationals such as -1/2 are read as values, as argparse
-    already does for -2 and -0.5, not as option strings.
+    An argument that starts with "-" and a digit, or "-." and a digit, is a
+    value, not an option string: no option starts so, and lists, pairs and
+    grids such as -1/2,1, -1,4, -2x3 and -0.4:3 then reach their own parser,
+    which names what is wrong with them.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(?:/-?\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")

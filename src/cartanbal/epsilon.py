@@ -40,24 +40,21 @@ Each sum is a power sum in the squared moduli.  A ball norm is a radial
 row entry r_|m| over the multinomial |m|!/prod_i m_i!, and those multinomials
 sum the |z^m|^2 to |z|^(2n), so the ball sum is sum_n t^n / r_n in t = |z|^2.
 Each setting keeps one dense array of coefficients (the row 1/r_n, the
-Hartogs [j, m] reciprocal norms); _power_sum (calabi.py, shared with the
-pullback) evaluates it at one point or on a whole grid.  A Hartogs grid is
+Hartogs [j, m] reciprocal norms); calabi's _power_sum sums one variable
+and _read_samples reads the points, as in the pullback.  A Hartogs grid is
 the product of nz values of t = |z|^2 and nw values of u = |w|^2/(1-t)^mu,
-so |w|^(2m) = (1-t)^(mu m) u^m: the [j, m] array is summed over j once per t,
-scaled by (1-t)^(mu m), and summed over m once per u, two power sums over
-nz and nw points instead of one over nz * nw.
+so |w|^(2m) = (1-t)^(mu m) u^m: _hartogs_values sums the [j, m] array over
+j once per t, scales it by (1-t)^(mu m) and sums over m once per u, two
+power sums over nz and nw points instead of one over nz * nw.  A point is
+the 1 x 1 grid at u = |w|^2/(1-|z|^2)^mu.
 Constancy of epsilon over a grid is the numerical signature of balancedness:
 constancy_verdict reads a spread below 1e-5 as constant, above 1e-3 as
 non-constant, and between them as inconclusive.  Omitted terms are positive,
 so with the absolute tail bound T each true value lies in [v, v + T];
 EpsilonReport.verdict is inconclusive unless the spread moved by T / max
-either way reads the same.  The Hartogs tail bound folds the weight and
-|w|^(2m) into its pieces as powers of 1-t and 1-u, so each piece's log is a
-sum over two tables, (t, fiber power) and (u, fiber power); it exponentiates
-each shifted by its rows' maxima and sums over the fiber power as one
-(t, m) x (u, m) contraction; points whose shifted sum underflowed are summed
-again in logs, over (those points x fiber powers), when one of them could
-hold the maximum.  Sizes (norms, grid points, evaluation arrays) are
+either way reads the same.  The Hartogs tail bound is summed in the same
+t and u, as a (t, fiber power) x (u, fiber power) contraction of two log
+tables (_hartogs_tail_bound).  Sizes (norms, grid points, evaluation arrays) are
 checked against module limits before any norm is built, each by the array
 it builds: a ball row counts degree_cap+1 norms for either d, and a Hartogs
 grid the larger of its z-side power table, nz x (cap_z+1), and the tail
@@ -66,8 +63,7 @@ The ball(2) norms dict, C(degree_cap+2, 2) entries, is checked when it is
 first read.
 
 numpy, the only numeric dependency, is imported inside the functions that call
-it (the Hartogs norms, the grid functions, the tail bound, _xlogy and calabi's
-helpers), not at module level, so it loads on the first numeric call.
+it, not at module level, so it loads on the first numeric call.
 The module itself loads on the first lookup of a numeric name in the package,
 or in the CLI's epsilon handlers, so the exact code paths never load it.
 EpsilonReport and DiscGrid are namedtuples; the CLI spreads report._asdict().
@@ -86,8 +82,8 @@ from .calabi import (
     _MAX_GRID_POINTS,
     _multinomials,
     _power_sum,
+    _read_samples,
     _rising_table,
-    _squared_norm,
 )
 from .errors import SampleOutsideDomainError, TrivialSpaceError, _check_size, _Checked, _Frozen
 
@@ -276,13 +272,11 @@ def ball_monomial_norms(d: int, alpha, degree_cap: int) -> WeightedBasisNorms:
 
 
 def epsilon_point_ball(norms: WeightedBasisNorms, z) -> float:
-    """epsilon at one point of the ball, from precomputed norms."""
+    """epsilon at one point z of the ball (d coordinates, or a scalar at d=1), from norms."""
     _require_setting(norms, "ball")
     d, alpha = norms.params
-    t = _squared_norm(z, d)
-    if not t < 1.0:
-        raise SampleOutsideDomainError(f"|z|^2 = {t} is not < 1")
-    return (1.0 - t) ** alpha * float(_power_sum(norms._array, [[t]])[0])
+    t, _ = _read_samples([(z, 0.0)], d, 1.0)
+    return float((1.0 - t[0]) ** alpha * _power_sum(norms._array, t)[0])
 
 
 def epsilon_ball(
@@ -311,7 +305,7 @@ def epsilon_ball(
     radii = np.linspace(0.0, grid_rmax, grid_points)
     t = radii**2
     weight = (1.0 - t) ** alpha
-    values = weight * _power_sum(norms._array, t[:, None])
+    values = weight * _power_sum(norms._array, t)
     last_term = norms._array[-1] * t**degree_cap
     rho = t * (degree_cap + alpha) / (degree_cap + 1)
     tail = math.inf if rho.max() >= 1 else float(np.max(weight * last_term * rho / (1 - rho)))
@@ -361,16 +355,12 @@ def hartogs_disc_norms(mu, alpha, caps: tuple[int, int]) -> WeightedBasisNorms:
 
 
 def epsilon_point_hartogs(norms: WeightedBasisNorms, z, w) -> float:
-    """epsilon at one point (z, w) of the Hartogs disc domain."""
+    """epsilon at one point (z, w) of the Hartogs disc domain: the 1 x 1 case of the grid."""
     _require_setting(norms, "hartogs-disc")
     mu, alpha = norms.params
-    t = abs(complex(z)) ** 2
-    y = abs(complex(w)) ** 2
-    if not (t < 1.0 and y < (1.0 - t) ** mu):
-        raise SampleOutsideDomainError(
-            f"(z, w) with |z|^2={t}, |w|^2={y} lies outside the domain"
-        )
-    return ((1.0 - t) ** mu - y) ** alpha * float(_power_sum(norms._array, [(t, y)])[0])
+    t, y = _read_samples([(z, w)], 1, mu)
+    n_mu = (1.0 - t) ** mu
+    return float((n_mu[0] - y[0]) ** alpha * _hartogs_values(norms, t, y / n_mu)[0, 0])
 
 
 def epsilon_hartogs_disc(
@@ -393,12 +383,20 @@ def epsilon_hartogs_disc(
     u = np.linspace(0.0, grid.u_max, grid.nw)
     n_mu = (1.0 - t) ** mu
     y = n_mu[:, None] * u  # [t, u], row-major nz x nw
-    # y^m = (1-t)^(mu m) u^m: the [t, m] row sums, scaled, then summed against u^m
-    rows = _power_sum(norms._array, t[:, None]) * n_mu[:, None] ** np.arange(caps[1] + 1.0)
-    values = (n_mu[:, None] - y) ** alpha * _power_sum(rows.T, u[:, None]).T
+    values = (n_mu[:, None] - y) ** alpha * _hartogs_values(norms, t, u)
     tail = _hartogs_tail_bound(t, u, norms)
     pairs = zip(np.repeat(np.sqrt(t), grid.nw).tolist(), np.sqrt(y).ravel().tolist())
     return _report(pairs, values.ravel(), caps, tail)
+
+
+def _hartogs_values(norms: WeightedBasisNorms, t, u) -> np.ndarray:
+    """The [t, u] table of sum_{j,m} coef[j, m] t^j y^m, y = (1-t)^mu u, unweighted:
+    the one Hartogs evaluator, for a grid's distinct t and u or one point's."""
+    import numpy as np
+
+    mu, coef = norms.params[0], norms._array
+    scale = ((1.0 - t) ** mu)[:, None] ** np.arange(coef.shape[1], dtype=float)  # [t, m]
+    return _power_sum((_power_sum(coef, t) * scale).T, u).T
 
 
 def _hartogs_tail_bound(t, u, norms: WeightedBasisNorms) -> float:

@@ -21,7 +21,13 @@ from cartanbal.calabi import (
 )
 from cartanbal.catalog import ball, parse_domain
 from cartanbal.cli import main
-from cartanbal.epsilon import _hartogs_tail_bound, hartogs_disc_norms
+from cartanbal.epsilon import (
+    _hartogs_tail_bound,
+    ball_monomial_norms,
+    epsilon_point_ball,
+    epsilon_point_hartogs,
+    hartogs_disc_norms,
+)
 from cartanbal.errors import (
     BallNotAllowedError,
     SampleOutsideDomainError,
@@ -316,16 +322,16 @@ def test_pullback_contracts_once_per_distinct_squared_norm(monkeypatch):
     # matrix over n at the 10 distinct |z|^2, not at the 100 samples
     calls = []
 
-    def counting(coef, bases):
-        calls.append(np.shape(bases))
-        return _power_sum(coef, bases)
+    def counting(coef, t):
+        calls.append(np.shape(t))
+        return _power_sum(coef, t)
 
     coeffs = build_immersion(HartogsSpec(ball(2), F(3, 2), F(4)), 30)
     radii = [0.04 * k for k in range(10)]
     samples = [((r / 2**0.5,) * 2, w) for r in radii for w in radii]
     monkeypatch.setattr(calabi_module, "_power_sum", counting)
     check = verify_pullback(coeffs, samples)
-    assert calls == [(10, 1)]
+    assert calls == [(10,)]
     # each sample reads the row of its own |z|^2
     errors = [verify_pullback(coeffs, [sample]).max_rel_error for sample in samples]
     assert check.max_rel_error == pytest.approx(max(errors), rel=1e-12)
@@ -492,6 +498,38 @@ def test_pullback_rejects_a_scalar_z_over_a_larger_ball():
     coeffs = build_immersion(HartogsSpec(ball(2), F(1), F(4)), 10)
     with pytest.raises(SampleOutsideDomainError, match="z must have 2 coordinates"):
         verify_pullback(coeffs, [(0.1, 0.1)])
+
+
+def test_every_sample_form_reads_alike():
+    # one reader serves verify_pullback and both epsilon point evaluators: z as
+    # a tuple, list or array of d coordinates, or a scalar at d=1, and a complex w;
+    # the expected values are those of the per-sample reader it replaced
+    b1, b2 = ball_monomial_norms(1, 3.5, 40), ball_monomial_norms(2, 4.5, 40)
+    hartogs = hartogs_disc_norms(2.0, 4.0, (40, 40))
+    c1 = build_immersion(HartogsSpec(ball(1), F(3, 2), F(4)), 10)
+    c2 = build_immersion(HartogsSpec(ball(2), F(3, 2), F(4)), 10)
+    w = 0.25j
+    for z in (0.3, np.float64(0.3), (0.3,), [0.3], np.array([0.3]), np.array(0.3)):
+        assert epsilon_point_ball(b1, z) == pytest.approx(0.795774715459477, rel=1e-14)
+        check = verify_pullback(c1, [(z, w)])
+        assert check.max_rel_error == pytest.approx(1.7054546377961302e-06, rel=1e-14)
+        assert check.worst_sample[0] is z
+    for z in (0.3, np.float64(0.3)):
+        assert epsilon_point_hartogs(hartogs, z, w) == pytest.approx(1.4032023457116127, rel=1e-14)
+    for z in ((0.3, 0.2), [0.3, 0.2], np.array([0.3, 0.2]), np.array([0.3, 0.2j])):
+        assert epsilon_point_ball(b2, z) == pytest.approx(0.8865603568704555, rel=1e-14)
+        check = verify_pullback(c2, [(z, w)])
+        assert check.max_rel_error == pytest.approx(2.0902227951258117e-05, rel=1e-14)
+    # scalars and 1-sequences may share one sample list at d=1
+    mixed = verify_pullback(c1, [(0.3, w), ((0.3,), w), (np.float64(0.3), w)])
+    assert mixed.max_rel_error == pytest.approx(1.7054546377961302e-06, rel=1e-14)
+    for z in ((0.1, 0.2, 0.0), 0.1, np.float64(0.1), np.array([0.1])):
+        with pytest.raises(SampleOutsideDomainError, match="z must have 2 coordinates"):
+            epsilon_point_ball(b2, z)
+        with pytest.raises(SampleOutsideDomainError, match="z must have 2 coordinates"):
+            verify_pullback(c2, [((0.1, 0.2), 0.1), (z, 0.1)])
+    with pytest.raises(SampleOutsideDomainError, match="w must be a scalar"):
+        verify_pullback(c1, [(0.1, (0.1, 0.2))])
 
 
 def test_truncation_is_monotone():

@@ -314,6 +314,10 @@ def test_usage_errors_exit_one(capsys):
         (epsilon + ("--grid", "8y8"), "expected ROWSxCOLS"),
         (epsilon + ("--caps", "80"), "expected two caps"),
         (immersion + ("--check-grid", "1.5:3"), "need 0 < rmax < 1"),
+        # a list, pair or grid that starts with a negative number is a value, not an option
+        (("scan", "--mus", "-1/2,1"), "mu must be positive, got -1/2"),
+        (epsilon + ("--caps", "-1,4"), "caps must be nonnegative, got (-1, 4)"),
+        (immersion + ("--check-grid", "-0.4:3"), "need 0 < rmax < 1"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv

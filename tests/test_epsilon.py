@@ -185,18 +185,16 @@ def test_power_sum_matches_fsum(shape, firsts):
     rng = np.random.default_rng(len(shape))
     coef = rng.uniform(0.0, 2.0, shape) * (rng.uniform(size=shape) < 0.7)
     rows = {"repeated": 12, "distinct": 9, "single": 1}[firsts]
-    bases = rng.uniform(0.05, 0.9, (rows, len(shape)))
-    if firsts == "repeated":  # a grid: each first coordinate appears four times
-        bases[:, 0] = np.repeat(rng.uniform(0.05, 0.9, 3), 4)
-    # every axis contracted, then fewer base columns: the trailing axes come back
-    for columns in range(len(shape), 0, -1):
-        values = _power_sum(coef, bases[:, :columns])
-        assert values.shape == (rows,) + shape[columns:]
-        for b, value in zip(bases[:, :columns].tolist(), values):
-            for rest in np.ndindex(shape[columns:]):
-                exact = math.fsum(coef[e + rest] * math.prod(x**k for x, k in zip(b, e))
-                                  for e in np.ndindex(shape[:columns]))
-                assert value[rest] == pytest.approx(exact, rel=1e-12, abs=0)
+    t = rng.uniform(0.05, 0.9, rows)
+    if firsts == "repeated":  # a grid axis: each point appears four times
+        t = np.repeat(rng.uniform(0.05, 0.9, 3), 4)
+    # the first axis is contracted and the trailing axes come back
+    values = _power_sum(coef, t)
+    assert values.shape == (rows,) + shape[1:]
+    for x, value in zip(t.tolist(), values):
+        for rest in np.ndindex(shape[1:]):
+            exact = math.fsum(coef[(n,) + rest] * x**n for n in range(shape[0]))
+            assert value[rest] == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("cap", [6, 40])
@@ -223,14 +221,14 @@ def test_ball2_epsilon_matches_the_expanded_norm_sum(alpha, cap):
 def test_epsilon_ball_sums_once_per_grid(monkeypatch):
     calls = []
 
-    def counting(coef, bases):
-        calls.append(np.shape(bases))
-        return _power_sum(coef, bases)
+    def counting(coef, t):
+        calls.append(np.shape(t))
+        return _power_sum(coef, t)
 
     monkeypatch.setattr(epsilon_module, "_power_sum", counting)
     for d in (1, 2):
         epsilon_ball(d, 3.5, 0.9, 100, grid_points=25)
-    assert calls == [(25, 1), (25, 1)]
+    assert calls == [(25,), (25,)]
 
 
 def test_epsilon_hartogs_sums_once_per_distinct_t_and_u(monkeypatch):
@@ -238,13 +236,13 @@ def test_epsilon_hartogs_sums_once_per_distinct_t_and_u(monkeypatch):
     # never over its 1,024 points
     calls = []
 
-    def counting(coef, bases):
-        calls.append(np.shape(bases))
-        return _power_sum(coef, bases)
+    def counting(coef, t):
+        calls.append(np.shape(t))
+        return _power_sum(coef, t)
 
     monkeypatch.setattr(epsilon_module, "_power_sum", counting)
     epsilon_hartogs_disc(2.0, 4.0, DiscGrid(32, 32), (80, 80))
-    assert calls == [(32, 1), (32, 1)]
+    assert calls == [(32,), (32,)]
 
 
 def test_grids_leave_the_norm_dict_unexpanded(monkeypatch):
